@@ -1,12 +1,10 @@
 //! Timing benches for the data-management experiments (E10, E17, E18,
 //! E21 in timing form) and the perturbation explainers. Plain binaries on
 //! `xai_bench::timing` — run with `cargo bench -p xai-bench`.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_bench::timing::Group;
-use xai_counterfactual::{geco, geco_parallel, random_search_counterfactual, GecoConfig, Plaf};
+use xai_core::{ExplainRequest, Explainer, RunConfig};
+use xai_counterfactual::{geco, random_search_counterfactual, GecoConfig, GecoMethod, Plaf};
 use xai_data::synth::german_credit;
 use xai_models::{proba_fn, LogisticConfig, LogisticRegression};
 use xai_provenance::{
@@ -27,8 +25,14 @@ fn bench_geco() {
 
     let mut group = Group::new("counterfactual_search").samples(7);
     group.bench("geco_genetic", || geco(&fm, &data, &x, &plaf, GecoConfig::default(), 3));
+    // The multi-start search runs for `workers > 1` plans; a single-core
+    // host still races the four starts, on two executor threads.
+    let multi_start = GecoMethod { config: GecoConfig::default(), starts: 4 };
+    let req = ExplainRequest::new(&data)
+        .instance(&x)
+        .plan(RunConfig::seeded(3).with_workers(workers.max(2)));
     group.bench(&format!("geco_4starts_parallel_{workers}w"), || {
-        geco_parallel(&fm, &data, &x, &plaf, GecoConfig::default(), 3, 4, workers)
+        multi_start.explain(&model, &req)
     });
     group.bench("random_search_1500", || {
         random_search_counterfactual(&fm, &data, &x, &plaf, 1500, 3)

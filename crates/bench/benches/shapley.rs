@@ -1,12 +1,10 @@
 //! Timing benches for the Shapley estimators (experiments E1/E3 in timing
 //! form), plus the parallel-vs-sequential Monte-Carlo comparison. Plain
 //! binaries on `xai_bench::timing` — run with `cargo bench -p xai-bench`.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_bench::timing::Group;
-use xai_core::{CoalitionMemo, FnOracle, GameKey, ModelOracle};
+use xai_core::backend::dispatch_local;
+use xai_core::{CoalitionMemo, ExplainRequest, FnOracle, GameKey, ModelOracle, RunConfig};
 use xai_data::synth::{friedman1, german_credit};
 use xai_models::{
     proba_fn, Classifier, DecisionTree, Gbdt, GbdtConfig, GbdtLoss, LogisticConfig,
@@ -14,9 +12,9 @@ use xai_models::{
 };
 use xai_rand::parallel::default_workers;
 use xai_shapley::{
-    brute_force_tree_shap, exact_shapley, gbdt_shap, kernel_shap, kernel_shap_batched,
-    permutation_shapley, permutation_shapley_parallel, tree_shap, BatchPredictionGame, CachedGame,
-    KernelShapConfig, MaskedPredictionGame, MemoGame, PredictionGame,
+    brute_force_tree_shap, exact_shapley, gbdt_shap, kernel_shap, permutation_shapley, tree_shap,
+    BatchPredictionGame, CachedGame, KernelShapConfig, MaskedPredictionGame, MemoGame,
+    PermutationShapleyMethod, PredictionGame,
 };
 
 /// E1: exact enumeration cost doubles per feature; samplers stay flat.
@@ -93,10 +91,10 @@ fn bench_kernel_shap_batched() {
         let batch_game = BatchPredictionGame::new(&wide_batched, &instance, &background);
         let cfg = KernelShapConfig { max_coalitions: 512, ..Default::default() };
         let scalar = group.bench(&format!("scalar/{d}"), || kernel_shap(&game, cfg));
-        let batched = group.bench(&format!("batched/{d}"), || kernel_shap_batched(&batch_game, cfg));
+        let batched = group.bench(&format!("batched/{d}"), || kernel_shap(&batch_game, cfg));
         // Warm memo across samples: after the first run every coalition hits.
         let cached_game = CachedGame::new(&batch_game);
-        group.bench(&format!("batched_cached/{d}"), || kernel_shap_batched(&cached_game, cfg));
+        group.bench(&format!("batched_cached/{d}"), || kernel_shap(&cached_game, cfg));
         // Zero-copy masked path: at d = 9 the fold is the identity, so the
         // logistic model itself is the oracle and coalitions run straight
         // through its masked affine kernel; at d = 6 the fold closure has
@@ -104,12 +102,12 @@ fn bench_kernel_shap_batched() {
         let fold_oracle = FnOracle::new(d, &wide);
         let oracle: &dyn ModelOracle = if d == 9 { model_ref } else { &fold_oracle };
         let masked_game = MaskedPredictionGame::new(oracle, &instance, &background);
-        let masked = group.bench(&format!("masked/{d}"), || kernel_shap_batched(&masked_game, cfg));
+        let masked = group.bench(&format!("masked/{d}"), || kernel_shap(&masked_game, cfg));
         // Warm cross-request memo, shared across samples like CachedGame.
         let memo = CoalitionMemo::new(1 << 14);
         let memo_game =
             MemoGame::new(&masked_game, &memo, GameKey::derive(1, &background, &instance));
-        group.bench(&format!("masked_memo/{d}"), || kernel_shap_batched(&memo_game, cfg));
+        group.bench(&format!("masked_memo/{d}"), || kernel_shap(&memo_game, cfg));
         speedups.push((
             d,
             scalar.as_secs_f64() / batched.as_secs_f64(),
@@ -123,9 +121,10 @@ fn bench_kernel_shap_batched() {
 }
 
 /// The tentpole measurement: 1000-permutation Monte-Carlo Shapley,
-/// sequential executor vs. the `xai_rand` fork-join executor at the
-/// machine's worker count. Prints the speedup; on a single-core host the
-/// two are expected to tie (modulo thread overhead).
+/// the sequential layout vs. the chunk grid that `workers > 1` plans run
+/// (`dispatch_local`), on one executor thread and at the machine's worker
+/// count. Prints the speedup; on a single-core host the two are expected
+/// to tie (modulo thread overhead).
 fn bench_parallel_mc_shapley() {
     let data = german_credit(200, 1);
     let model = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
@@ -135,13 +134,19 @@ fn bench_parallel_mc_shapley() {
     let instance: Vec<f64> = data.row(40).to_vec();
     let game = PredictionGame::new(&fm, &instance, &background);
     let workers = default_workers();
+    let method = PermutationShapleyMethod { permutations: 1000 };
+    let chunk_grid = |workers: usize| {
+        let req = ExplainRequest::new(&data)
+            .instance(&instance)
+            .background(&background)
+            .plan(RunConfig::seeded(3).with_workers(workers));
+        dispatch_local(&method, &model, &req, workers)
+    };
 
     let mut group = Group::new("mc_shapley_1k").samples(7);
     let seq = group.bench("sequential_1000perms", || permutation_shapley(&game, 1000, 3));
-    let par1 = group.bench("parallel_1worker", || permutation_shapley_parallel(&game, 1000, 3, 1));
-    let parn = group.bench(&format!("parallel_{workers}workers"), || {
-        permutation_shapley_parallel(&game, 1000, 3, workers)
-    });
+    let par1 = group.bench("parallel_1worker", || chunk_grid(1));
+    let parn = group.bench(&format!("parallel_{workers}workers"), || chunk_grid(workers));
     group.finish();
     println!(
         "  speedup vs sequential: {:.2}x ({workers} workers, {} cores)",

@@ -1,15 +1,13 @@
 //! Timing benches for data valuation and influence (E13/E14 in timing
 //! form), including the parallel TMC executor. Plain binaries on
 //! `xai_bench::timing` — run with `cargo bench -p xai-bench`.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_bench::timing::Group;
 use xai_data::synth::linear_gaussian;
+use xai_core::{ExplainRequest, Explainer, FnOracle, RunConfig};
 use xai_datavalue::{
     influence_on_test_loss, knn_shapley, leave_one_out, retraining_ground_truth, tmc_shapley,
-    tmc_shapley_parallel, LogisticUtility, Solver, TmcConfig,
+    LogisticUtility, Solver, TmcConfig, TmcMethod,
 };
 use xai_models::{LogisticConfig, LogisticRegression};
 use xai_rand::parallel::default_workers;
@@ -25,8 +23,14 @@ fn bench_valuation() {
     let mut group = Group::new("valuation_n60").samples(7);
     group.bench("leave_one_out", || leave_one_out(&u));
     let seq = group.bench("tmc_50perms", || tmc_shapley(&u, cfg));
+    // `workers > 1` runs TMC's chunk grid; the utility ignores the oracle.
+    let chunked = TmcMethod { config: cfg };
+    let oracle = FnOracle::new(train.n_features(), |_: &[f64]| 0.0);
+    let req = ExplainRequest::new(&train)
+        .utility(&u)
+        .plan(RunConfig::seeded(cfg.seed).with_workers(workers.max(2)));
     let par = group.bench(&format!("tmc_50perms_parallel_{workers}w"), || {
-        tmc_shapley_parallel(&u, cfg, workers)
+        chunked.explain(&oracle, &req)
     });
     group.finish();
     println!("  tmc speedup vs sequential: {:.2}x ({workers} workers)", seq.as_secs_f64() / par.as_secs_f64());

@@ -16,8 +16,8 @@
 //! every [`crate::explainer::RunConfig`].
 //!
 //! The invariant every backend upholds: **the explanation bytes are
-//! identical to the unsharded `Explainer::explain` run** (on the
-//! `workers > 1` parallel path, which shares the chunk grid) for every
+//! identical to the unsharded `Explainer::explain` run** (with
+//! `workers > 1`, which runs this same chunk grid in process) for every
 //! shard count, every backend, and every fault schedule. Where work runs
 //! is an operational choice; what it computes never is. That determinism
 //! is also what makes the [`ShardCache`] sound: a shard's result is a
@@ -442,8 +442,10 @@ fn split_cache_hits(
 
 /// The shared dispatch core of the in-process runner: cut the draw grid
 /// into `n_shards` ranges, run `explain_chunks` per shard on the seeded
-/// fork-join executor, merge in shard order. This *is* the historical
-/// `explain_sharded` body; the public function is now a thin delegate.
+/// fork-join executor (`plan.workers` threads), merge in shard order.
+/// `explain_sharded` delegates here, and every shardable method's
+/// `Explainer::explain` runs its `workers > 1` plans through it with one
+/// shard per worker.
 pub fn dispatch_local(
     explainer: &dyn ShardableExplainer,
     model: &dyn ModelOracle,

@@ -25,9 +25,9 @@
 //!
 //! Every runnable method is a pure function of
 //! `(model, data, request-with-plan)`: stochastic draws come from
-//! `StdRng::seed_from_u64(plan.seed)` streams and parallel paths use the
-//! deterministic fixed-chunk `xai-rand` executor selected by
-//! `plan.workers`. The serving pool adds an *outer* layer of concurrency
+//! `StdRng::seed_from_u64(plan.seed)` streams and `workers > 1` plans run
+//! the method's deterministic chunk grid on `plan.workers` executor
+//! threads. The serving pool adds an *outer* layer of concurrency
 //! — which requests run when, and on which worker — that cannot perturb
 //! results: pool size, queue order and thread interleaving are invisible
 //! to the explainers. Cached payloads are the canonical JSON bytes of

@@ -188,8 +188,8 @@ pub fn shard_chunk_ranges(n_chunks: usize, n_shards: usize) -> Vec<(usize, usize
 /// [`shard_chunk_ranges`], running `explain_chunks` per shard (in any
 /// process), ordering the partials by shard index and folding them
 /// through `merge_chunks` is **bit-identical** to the single-process
-/// `Explainer::explain` at the same request (on the `workers > 1`
-/// parallel path, which shares the chunk grid).
+/// `Explainer::explain` at the same request (with `workers > 1`, which
+/// runs this chunk grid through [`crate::backend::dispatch_local`]).
 pub trait ShardableExplainer: Explainer {
     /// The draw grid for this request, with any eval budget already
     /// resolved into `total_draws`. Errors mirror `explain`:
@@ -198,8 +198,8 @@ pub trait ShardableExplainer: Explainer {
 
     /// Computes the serializable partial for global chunks
     /// `chunks.start..chunks.end`, as a `{"chunks": [...]}` payload in
-    /// chunk order. Chunk `c` must draw from `child_seed(plan.seed, c)`
-    /// exactly as the in-process parallel path does.
+    /// chunk order. Chunk `c` must draw from `child_seed(plan.seed, c)`,
+    /// whichever process runs it.
     fn explain_chunks(
         &self,
         model: &dyn ModelOracle,
@@ -227,8 +227,8 @@ pub trait ShardableExplainer: Explainer {
 
 /// Runs a shard plan in-process: shards become tasks on the fork-join
 /// executor (`plan.workers` threads), partials are merged in shard
-/// order. Bit-identical to `explainer.explain(model, req)` on the
-/// parallel path, at any `n_shards`.
+/// order. Bit-identical to `explainer.explain(model, req)` with
+/// `workers > 1`, at any `n_shards`.
 pub fn explain_sharded(
     explainer: &dyn ShardableExplainer,
     model: &dyn ModelOracle,

@@ -195,91 +195,15 @@ impl DiceExplainer {
         results
     }
 
-    /// Parallel variant of [`DiceExplainer::generate`]: the random restarts
-    /// of each counterfactual slot run concurrently on the `xai_rand`
-    /// executor.
-    ///
-    /// Slot `s` restart `t` searches with the stream
-    /// `child_seed(child_seed(seed, s), t)`; the winning restart is chosen
-    /// by loss with ties broken in restart order. The output is therefore a
-    /// pure function of `(seed, config)` — bit-identical across worker
-    /// counts. The draws differ from the sequential `generate` (one stream
-    /// per restart instead of one shared stream); both explore the same
-    /// search space.
-    #[deprecated(note = "superseded by the unified explainer layer: use DiceMethod with a RunConfig (DESIGN.md §9)")]
-    #[allow(deprecated)] // the twins forward to each other until removal
-    pub fn generate_parallel(
-        &self,
-        model: &(dyn Fn(&[f64]) -> f64 + Sync),
-        instance: &[f64],
-        config: DiceConfig,
-        seed: u64,
-        workers: usize,
-    ) -> Vec<Counterfactual> {
-        assert_eq!(instance.len(), self.bounds.len(), "instance arity mismatch");
-        let original_output = model(instance);
-        let target_positive = original_output < 0.5;
-        let d = instance.len();
-        let mut found: Vec<Vec<f64>> = Vec::new();
-        let mut results = Vec::new();
-
-        for slot in 0..config.k {
-            let found_ref = &found;
-            let attempts = xai_rand::parallel::par_map_seeded(
-                config.restarts.max(1),
-                xai_rand::child_seed(seed, slot as u64),
-                workers,
-                |_t, rng| {
-                    let mut current = instance.to_vec();
-                    let mut current_loss =
-                        self.loss(model, instance, target_positive, &current, found_ref, config);
-                    for _ in 0..config.iterations {
-                        let j = rng.gen_range(0..d);
-                        let Some(v) = self.propose(j, instance[j], current[j], rng) else {
-                            continue;
-                        };
-                        let old = current[j];
-                        current[j] = v;
-                        let l =
-                            self.loss(model, instance, target_positive, &current, found_ref, config);
-                        if l < current_loss {
-                            current_loss = l;
-                        } else {
-                            current[j] = old;
-                        }
-                    }
-                    let valid = (model(&current) >= 0.5) == target_positive;
-                    valid.then_some((current, current_loss))
-                },
-            );
-            let best = attempts
-                .into_iter()
-                .flatten()
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((cf, _)) = best {
-                let cf_output = model(&cf);
-                results.push(Counterfactual::new(
-                    instance.to_vec(),
-                    cf.clone(),
-                    original_output,
-                    cf_output,
-                    self.scales.l1(instance, &cf),
-                ));
-                found.push(cf);
-            }
-        }
-        results
-    }
-
     /// One candidate of the pooled search: an independent local search
     /// against the *core* loss (validity, proximity, sparsity — diversity
     /// enters at selection time, so candidates need no view of each
     /// other). Returns the candidate and its core loss when the search
     /// crossed the boundary, `None` otherwise.
     ///
-    /// This is the unit the parallel and sharded DiCE paths tile:
-    /// candidate `c` runs this body with an RNG seeded
-    /// `child_seed(seed, c)`, so in-process fork-join execution and
+    /// This is the chunk layout `DiceMethod` runs for `workers > 1` and
+    /// the shard layer partitions: candidate `c` runs this body with an
+    /// RNG seeded `child_seed(seed, c)`, so in-process runs and
     /// cross-process shards reproduce each other bit for bit.
     pub(crate) fn pool_candidate(
         &self,
@@ -345,50 +269,6 @@ impl DiceExplainer {
         chosen
     }
 
-    /// Pooled twin of [`DiceExplainer::try_generate`], used by the
-    /// unified parallel dispatch and the shard layer: `k · restarts`
-    /// independent candidates (candidate `c` at `child_seed(seed, c)`)
-    /// followed by the greedy diverse selection of `k`. The output is a
-    /// pure function of `(seed, config)` — bit-identical across worker
-    /// counts and shard splits. The draws differ from the sequential
-    /// `try_generate` (one stream per candidate, diversity applied at
-    /// selection instead of during search); both explore the same space.
-    pub fn try_generate_pool(
-        &self,
-        model: &(dyn Fn(&[f64]) -> f64 + Sync),
-        instance: &[f64],
-        config: DiceConfig,
-        seed: u64,
-        workers: usize,
-    ) -> XaiResult<Vec<Counterfactual>> {
-        validate::finite_slice("DiCE instance", instance)?;
-        assert_eq!(instance.len(), self.bounds.len(), "instance arity mismatch");
-        let original_output = catch_model("DiCE original prediction", || model(instance))?;
-        let target_positive = original_output < 0.5;
-        let pool = (config.k * config.restarts.max(1)).max(1);
-        let candidates = xai_rand::parallel::try_par_map_seeded(pool, seed, workers, |_c, rng| {
-            self.pool_candidate(model, instance, target_positive, config, rng)
-        })
-        .map_err(XaiError::from)?;
-        let chosen = self.select_diverse(&candidates, config);
-        let results = catch_model("DiCE counterfactual certification", || {
-            chosen
-                .into_iter()
-                .map(|cf| {
-                    let cf_output = model(&cf);
-                    Counterfactual::new(
-                        instance.to_vec(),
-                        cf.clone(),
-                        original_output,
-                        cf_output,
-                        self.scales.l1(instance, &cf),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })?;
-        certify_set(results, "pooled DiCE search", config)
-    }
-
     /// Fallible twin of [`DiceExplainer::generate`]: non-finite inputs
     /// yield [`XaiError::NonFiniteInput`], a panicking model or non-finite
     /// counterfactuals yield [`XaiError::ModelFault`], and an empty result
@@ -404,78 +284,6 @@ impl DiceExplainer {
         validate::finite_slice("DiCE instance", instance)?;
         let cfs = catch_model("DiCE local search", || self.generate(model, instance, config, seed))?;
         certify_set(cfs, "DiCE local search", config)
-    }
-
-    /// Fallible twin of [`DiceExplainer::generate_parallel`]: a panic
-    /// inside one restart yields [`XaiError::WorkerPanic`] naming the
-    /// lowest-indexed panicking restart; other failures as in
-    /// [`DiceExplainer::try_generate`].
-    #[deprecated(note = "superseded by the unified explainer layer: use DiceMethod with a RunConfig (DESIGN.md §9)")]
-    #[allow(deprecated)] // the twins forward to each other until removal
-    pub fn try_generate_parallel(
-        &self,
-        model: &(dyn Fn(&[f64]) -> f64 + Sync),
-        instance: &[f64],
-        config: DiceConfig,
-        seed: u64,
-        workers: usize,
-    ) -> XaiResult<Vec<Counterfactual>> {
-        validate::finite_slice("DiCE instance", instance)?;
-        assert_eq!(instance.len(), self.bounds.len(), "instance arity mismatch");
-        let original_output =
-            catch_model("DiCE original prediction", || model(instance))?;
-        let target_positive = original_output < 0.5;
-        let d = instance.len();
-        let mut found: Vec<Vec<f64>> = Vec::new();
-        let mut results = Vec::new();
-
-        for slot in 0..config.k {
-            let found_ref = &found;
-            let attempts = xai_rand::parallel::try_par_map_seeded(
-                config.restarts.max(1),
-                xai_rand::child_seed(seed, slot as u64),
-                workers,
-                |_t, rng| {
-                    let mut current = instance.to_vec();
-                    let mut current_loss =
-                        self.loss(model, instance, target_positive, &current, found_ref, config);
-                    for _ in 0..config.iterations {
-                        let j = rng.gen_range(0..d);
-                        let Some(v) = self.propose(j, instance[j], current[j], rng) else {
-                            continue;
-                        };
-                        let old = current[j];
-                        current[j] = v;
-                        let l =
-                            self.loss(model, instance, target_positive, &current, found_ref, config);
-                        if l < current_loss {
-                            current_loss = l;
-                        } else {
-                            current[j] = old;
-                        }
-                    }
-                    let valid = (model(&current) >= 0.5) == target_positive;
-                    valid.then_some((current, current_loss))
-                },
-            )
-            .map_err(XaiError::from)?;
-            let best = attempts
-                .into_iter()
-                .flatten()
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((cf, _)) = best {
-                let cf_output = model(&cf);
-                results.push(Counterfactual::new(
-                    instance.to_vec(),
-                    cf.clone(),
-                    original_output,
-                    cf_output,
-                    self.scales.l1(instance, &cf),
-                ));
-                found.push(cf);
-            }
-        }
-        certify_set(results, "parallel DiCE search", config)
     }
 }
 

@@ -2,20 +2,20 @@
 //! (DESIGN.md §9): Wachter gradient descent, GeCo's genetic search under
 //! plausibility/feasibility constraints, and DiCE's diverse set.
 //!
-//! Dispatch contract: `workers > 1` selects GeCo's fixed-chunk parallel
-//! multi-start twin and DiCE's candidate pool (`k · restarts`
+//! Dispatch contract (pinned by `tests/explain_golden.rs`): `workers > 1`
+//! runs GeCo's multi-start search (start `t` at `child_seed(seed, t + 1)`,
+//! best result in start order) and DiCE's candidate pool (`k · restarts`
 //! independent searches, candidate `c` at `child_seed(seed, c)`, merged
 //! by a greedy diverse selection) — both worker-count invariant though a
-//! different search schedule than `workers == 1`, and for DiCE the pool
-//! is the grid the shard layer partitions. Wachter is deterministic
-//! gradient descent with no random draws, so every execution plan
-//! returns the same result. None of the searches has a batched or
-//! budgeted twin; a `SampleBudget` is rejected as
-//! [`XaiError::Unsupported`].
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
+//! different search schedule than `workers == 1`. DiCE's pool is its
+//! chunk grid, run through [`xai_core::backend::dispatch_local`] like
+//! every shard backend; GeCo is not shardable and keeps its multi-start
+//! body here. Wachter is deterministic gradient descent with no random
+//! draws, so every execution plan returns the same result. None of the
+//! searches evaluates in batches or meters a budget; a `SampleBudget` is
+//! rejected as [`XaiError::Unsupported`].
 
+use xai_core::backend::dispatch_local;
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
     ShardableExplainer,
@@ -30,7 +30,8 @@ use xai_rand::rngs::StdRng;
 use xai_rand::SeedableRng;
 
 use crate::dice::{DiceConfig, DiceExplainer};
-use crate::geco::{try_geco, try_geco_parallel, GecoConfig, Plaf};
+use crate::distance::FeatureScales;
+use crate::geco::{certify_counterfactual, geco, try_geco, GecoConfig, Plaf};
 use crate::wachter::{try_wachter_counterfactual, GradientModel, WachterConfig};
 
 fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
@@ -91,7 +92,7 @@ impl Explainer for WachterMethod {
 pub struct GecoMethod {
     /// Population / generation schedule.
     pub config: GecoConfig,
-    /// Restarts for the parallel multi-start twin (`workers > 1`).
+    /// Restarts of the multi-start search (`workers > 1`).
     pub starts: usize,
 }
 
@@ -112,20 +113,48 @@ impl Explainer for GecoMethod {
         let plaf = Plaf::from_schema(req.data);
         let f = |x: &[f64]| model.predict(x);
         let cf = if req.plan.parallel() {
-            try_geco_parallel(
-                &f,
-                req.data,
-                instance,
-                &plaf,
-                self.config,
-                req.plan.seed,
-                self.starts,
-                req.plan.workers,
-            )?
+            self.multi_start(&f, req.data, instance, &plaf, req.plan.seed, req.plan.workers)?
         } else {
             try_geco(&f, req.data, instance, &plaf, self.config, req.plan.seed)?
         };
         Ok(Explanation::Counterfactuals(vec![cf]))
+    }
+}
+
+impl GecoMethod {
+    /// Multi-start GeCo on the seeded executor: `starts` independent
+    /// genetic searches, start `t` seeded with `child_seed(seed, t + 1)`,
+    /// keeping the best valid counterfactual under GeCo's lexicographic
+    /// criterion (fewest changes, then closest). Results are compared in
+    /// start order, so the output is a pure function of `(seed, starts)`
+    /// — bit-identical across worker counts. A panic inside one start
+    /// yields [`XaiError::WorkerPanic`] naming the lowest-indexed start.
+    fn multi_start(
+        &self,
+        model: &(dyn Fn(&[f64]) -> f64 + Sync),
+        data: &xai_data::Dataset,
+        instance: &[f64],
+        plaf: &Plaf,
+        seed: u64,
+        workers: usize,
+    ) -> XaiResult<Counterfactual> {
+        if self.starts == 0 {
+            return Err(XaiError::Unsupported { context: "GeCo needs starts >= 1".into() });
+        }
+        validate::finite_matrix("GeCo training data", data.x())?;
+        validate::finite_slice("GeCo instance", instance)?;
+        let scales = FeatureScales::fit(data);
+        let candidates = xai_rand::parallel::try_par_map_seeded(self.starts, seed, workers, |t, _| {
+            geco(model, data, instance, plaf, self.config, child_seed(seed, t as u64 + 1))
+        })?;
+        let found = candidates.into_iter().flatten().min_by(|a, b| {
+            a.sparsity().cmp(&b.sparsity()).then(
+                scales
+                    .l1(instance, &a.counterfactual)
+                    .total_cmp(&scales.l1(instance, &b.counterfactual)),
+            )
+        });
+        certify_counterfactual(found, "parallel GeCo search", self.starts * self.config.generations)
     }
 }
 
@@ -144,13 +173,12 @@ impl Explainer for DiceMethod {
     fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         reject_budget("DiCE", req)?;
         let instance = req.need_instance("DiCE")?;
+        if req.plan.parallel() {
+            return dispatch_local(self, model, req, req.plan.workers);
+        }
         let explainer = DiceExplainer::fit(req.data);
         let f = |x: &[f64]| model.predict(x);
-        let cfs = if req.plan.parallel() {
-            explainer.try_generate_pool(&f, instance, self.config, req.plan.seed, req.plan.workers)?
-        } else {
-            explainer.try_generate(&f, instance, self.config, req.plan.seed)?
-        };
+        let cfs = explainer.try_generate(&f, instance, self.config, req.plan.seed)?;
         Ok(Explanation::Counterfactuals(cfs))
     }
 
@@ -175,7 +203,7 @@ impl DiceMethod {
         })
     }
 
-    /// Size of the candidate pool the parallel and sharded paths search.
+    /// Size of the candidate pool the chunk layout searches.
     fn pool(&self) -> usize {
         (self.config.k * self.config.restarts.max(1)).max(1)
     }

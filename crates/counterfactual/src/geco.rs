@@ -231,7 +231,7 @@ pub fn geco(
 /// Certifies a search outcome: maps "no counterfactual found" to
 /// [`XaiError::ConvergenceFailure`] and a non-finite result (a NaN model
 /// can score garbage candidates "valid") to [`XaiError::ModelFault`].
-fn certify_counterfactual(
+pub(crate) fn certify_counterfactual(
     found: Option<Counterfactual>,
     what: &str,
     iterations: usize,
@@ -271,78 +271,6 @@ pub fn try_geco(
     let found =
         catch_model("GeCo genetic search", || geco(model, data, instance, plaf, config, seed))?;
     certify_counterfactual(found, "GeCo genetic search", config.generations)
-}
-
-/// Parallel multi-start GeCo on the `xai_rand` executor.
-///
-/// Runs `starts` independent genetic searches, start `t` seeded with
-/// `child_seed(seed, t)`, and keeps the best valid counterfactual under
-/// GeCo's lexicographic criterion (fewest changes, then closest). Results
-/// are compared in start order, so the output is a pure function of
-/// `(seed, starts)` — bit-identical across worker counts.
-#[deprecated(note = "superseded by the unified explainer layer: use GecoMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn geco_parallel(
-    model: &(dyn Fn(&[f64]) -> f64 + Sync),
-    data: &Dataset,
-    instance: &[f64],
-    plaf: &Plaf,
-    config: GecoConfig,
-    seed: u64,
-    starts: usize,
-    workers: usize,
-) -> Option<Counterfactual> {
-    assert!(starts >= 1, "need at least one start");
-    let scales = FeatureScales::fit(data);
-    let candidates = xai_rand::parallel::par_map_seeded(starts, seed, workers, |t, _rng| {
-        geco(model, data, instance, plaf, config, xai_rand::child_seed(seed, t as u64 + 1))
-    });
-    candidates
-        .into_iter()
-        .flatten()
-        .min_by(|a, b| {
-            a.sparsity()
-                .cmp(&b.sparsity())
-                .then(
-                    scales
-                        .l1(instance, &a.counterfactual)
-                        .total_cmp(&scales.l1(instance, &b.counterfactual)),
-                )
-        })
-}
-
-/// Fallible twin of [`geco_parallel`]: a panic inside one search start
-/// yields [`XaiError::WorkerPanic`] naming the lowest-indexed panicking
-/// start; other failures as in [`try_geco`].
-#[deprecated(note = "superseded by the unified explainer layer: use GecoMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_geco_parallel(
-    model: &(dyn Fn(&[f64]) -> f64 + Sync),
-    data: &Dataset,
-    instance: &[f64],
-    plaf: &Plaf,
-    config: GecoConfig,
-    seed: u64,
-    starts: usize,
-    workers: usize,
-) -> XaiResult<Counterfactual> {
-    assert!(starts >= 1, "need at least one start");
-    validate::finite_matrix("GeCo training data", data.x())?;
-    validate::finite_slice("GeCo instance", instance)?;
-    let scales = FeatureScales::fit(data);
-    let candidates =
-        xai_rand::parallel::try_par_map_seeded(starts, seed, workers, |t, _rng| {
-            geco(model, data, instance, plaf, config, xai_rand::child_seed(seed, t as u64 + 1))
-        })
-        .map_err(XaiError::from)?;
-    let found = candidates.into_iter().flatten().min_by(|a, b| {
-        a.sparsity().cmp(&b.sparsity()).then(
-            scales
-                .l1(instance, &a.counterfactual)
-                .total_cmp(&scales.l1(instance, &b.counterfactual)),
-        )
-    });
-    certify_counterfactual(found, "parallel GeCo search", starts * config.generations)
 }
 
 /// Baseline for experiment E10: pure random search over plausible values

@@ -24,11 +24,7 @@ pub mod wachter;
 pub use dice::{DiceConfig, DiceExplainer};
 pub use distance::{diversity, implausibility, FeatureScales};
 pub use explainer::{DiceMethod, GecoMethod, WachterMethod};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
-pub use geco::{
-    geco, geco_parallel, random_search_counterfactual, try_geco, try_geco_parallel, GecoConfig,
-    Plaf, PlafRule,
-};
+pub use geco::{geco, random_search_counterfactual, try_geco, GecoConfig, Plaf, PlafRule};
 pub use lewis::{CausationScores, Lewis};
 pub use wachter::{try_wachter_counterfactual, wachter_counterfactual, GradientModel, WachterConfig};
 pub use recourse::{linear_recourse, Action, Recourse, RecourseConfig};

@@ -32,38 +32,31 @@ impl Default for BanzhafConfig {
 
 /// Monte-Carlo data Banzhaf values: each draw includes every other point
 /// independently with probability ½ (paired with-and-without evaluation).
+///
+/// # Panics
+/// Panics when the utility panics or returns non-finite scores, or when
+/// `samples_per_point == 0`; use [`try_data_banzhaf`] for typed errors.
 pub fn data_banzhaf(utility: &dyn Utility, config: BanzhafConfig) -> DataAttribution {
-    assert!(config.samples_per_point >= 1);
-    let n = utility.n_train();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut values = vec![0.0; n];
-    let mut base: Vec<usize> = Vec::with_capacity(n);
-    for (i, value) in values.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for _ in 0..config.samples_per_point {
-            base.clear();
-            for j in 0..n {
-                if j != i && rng.gen::<bool>() {
-                    base.push(j);
-                }
-            }
-            let without = utility.eval(&base);
-            base.push(i);
-            let with = utility.eval(&base);
-            acc += with - without;
-        }
-        *value = acc / config.samples_per_point as f64;
-    }
-    DataAttribution { values, measure: "data Banzhaf (MC)".into() }
+    try_data_banzhaf(utility, config).expect("data Banzhaf failed; try_data_banzhaf recovers this")
 }
 
 /// Fallible twin of [`data_banzhaf`]: a utility that panics or returns
 /// non-finite scores yields [`xai_core::XaiError::ModelFault`] instead of
-/// unwinding or leaking NaN values.
+/// unwinding or leaking NaN values; `samples_per_point == 0` is
+/// [`XaiError::Unsupported`].
 pub fn try_data_banzhaf(utility: &dyn Utility, config: BanzhafConfig) -> XaiResult<DataAttribution> {
-    let att = catch_model("data Banzhaf evaluation", || data_banzhaf(utility, config))?;
-    check_finite_values(&att.values, "data Banzhaf")?;
-    Ok(att)
+    try_data_banzhaf_budgeted(utility, config, SampleBudget::unlimited())
+}
+
+/// Rejects a configuration with no draws per point; shared by both draw
+/// layouts.
+pub(crate) fn check_config(config: &BanzhafConfig) -> XaiResult<()> {
+    if config.samples_per_point == 0 {
+        return Err(XaiError::Unsupported {
+            context: "data Banzhaf needs samples_per_point >= 1".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Budget-aware fallible data Banzhaf: stops drawing coalitions once
@@ -73,16 +66,16 @@ pub fn try_data_banzhaf(utility: &dyn Utility, config: BanzhafConfig) -> XaiResu
 /// it completed, and points the budget never reached are valued `0.0`
 /// with the measure flagged `budget-truncated`. Fails with
 /// [`XaiError::BudgetExceeded`] only when the budget expires before the
-/// first draw. The RNG stream and per-point accumulation are exactly
-/// [`data_banzhaf`]'s, so an unlimited budget is bit-identical to
-/// [`try_data_banzhaf`]. With an eval cap the truncation point is
-/// deterministic; with a wall-clock deadline it is machine-dependent.
+/// first draw. This is the one-stream sequential layout: [`data_banzhaf`]
+/// and [`try_data_banzhaf`] run it with an unlimited budget. With an eval
+/// cap the truncation point is deterministic; with a wall-clock deadline
+/// it is machine-dependent.
 pub fn try_data_banzhaf_budgeted(
     utility: &dyn Utility,
     config: BanzhafConfig,
     budget: SampleBudget,
 ) -> XaiResult<DataAttribution> {
-    assert!(config.samples_per_point >= 1);
+    check_config(&config)?;
     let n = utility.n_train();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut values = vec![0.0; n];

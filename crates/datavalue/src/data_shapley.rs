@@ -57,6 +57,15 @@ pub fn try_tmc_shapley(utility: &dyn Utility, config: TmcConfig) -> XaiResult<Tm
     try_tmc_shapley_budgeted(utility, config, SampleBudget::unlimited())
 }
 
+/// Rejects a configuration with no permutation walks; shared by both draw
+/// layouts.
+pub(crate) fn check_config(config: &TmcConfig) -> XaiResult<()> {
+    if config.permutations == 0 {
+        return Err(XaiError::Unsupported { context: "TMC needs permutations >= 1".into() });
+    }
+    Ok(())
+}
+
 /// Budget-aware fallible TMC-Shapley: stops drawing permutation walks
 /// once `budget` is exhausted (metered in utility evaluations, including
 /// the two endpoint evaluations) and returns the **best-effort partial
@@ -69,7 +78,7 @@ pub fn try_tmc_shapley_budgeted(
     config: TmcConfig,
     budget: SampleBudget,
 ) -> XaiResult<TmcResult> {
-    assert!(config.permutations > 0);
+    check_config(&config)?;
     let n = utility.n_train();
     let all: Vec<usize> = (0..n).collect();
     let (full_score, empty_score) = catch_model("TMC endpoint evaluation", || {

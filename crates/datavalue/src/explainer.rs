@@ -11,24 +11,22 @@
 //! stays in the signature so the family is callable through the same
 //! trait as everything else.
 //!
-//! Dispatch contract: `workers > 1` selects the fixed-chunk parallel
-//! twins (worker-count-invariant, but a different draw schedule than the
-//! sequential estimator — same as the legacy free functions);
-//! `RunConfig::budget` is honoured by TMC (via
-//! [`try_tmc_shapley_budgeted`]) and by Banzhaf (via
+//! Dispatch contract (pinned by `tests/explain_golden.rs`): `workers > 1`
+//! runs each method's chunk grid — permutation chunks (TMC), per-point
+//! coalition streams (Banzhaf) and fixed point chunks (LOO) — on the
+//! executor through [`xai_core::backend::dispatch_local`], the same
+//! `explain_chunks` → `merge_chunks` code every shard backend runs
+//! (DESIGN.md §11). TMC's and Banzhaf's chunk streams are a different
+//! draw schedule than their one-stream sequential layouts; LOO draws
+//! nothing, so its two layouts agree bit for bit. `RunConfig::budget` is
+//! honoured by TMC (via [`try_tmc_shapley_budgeted`]) and by Banzhaf (via
 //! [`try_data_banzhaf_budgeted`]), each on the sequential path only —
 //! budget + `workers > 1` is rejected as [`XaiError::Unsupported`], as is
 //! a budget on LOO, whose deterministic point sweep has no draw stream to
-//! truncate. No method here has a batched twin, so `batched` is a no-op.
-//!
-//! All three methods are shardable (DESIGN.md §11): permutation chunks
-//! (TMC), per-point coalition streams (Banzhaf) and fixed point chunks
-//! (LOO) partition onto [`ShardableExplainer`] grids whose merged
-//! partials are bit-identical to the parallel dispatch above.
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
+//! truncate. No method here evaluates in batches, so `batched` is a
+//! no-op.
 
+use xai_core::backend::dispatch_local;
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
     ShardableExplainer,
@@ -42,10 +40,10 @@ use xai_models::LogisticConfig;
 use xai_rand::rngs::StdRng;
 use xai_rand::{child_seed, SeedableRng};
 
-use crate::banzhaf::{try_data_banzhaf_budgeted, BanzhafConfig};
-use crate::data_shapley::{try_tmc_shapley_budgeted, TmcConfig};
-use crate::loo::{self, try_leave_one_out, try_leave_one_out_parallel};
-use crate::parallel::{self, try_data_banzhaf_parallel, try_tmc_shapley_parallel};
+use crate::banzhaf::{self, try_data_banzhaf_budgeted, BanzhafConfig};
+use crate::data_shapley::{self, try_tmc_shapley_budgeted, TmcConfig};
+use crate::loo::{self, try_leave_one_out};
+use crate::parallel;
 use crate::utility::{check_finite_values, LogisticUtility, Utility};
 
 fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
@@ -108,15 +106,12 @@ impl Explainer for LooMethod {
         method_card("Leave-one-out")
     }
 
-    fn explain(&self, _model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
+    fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         reject_budget("Leave-one-out", req)?;
-        let utility = resolve_utility(req);
-        let att = if req.plan.parallel() {
-            try_leave_one_out_parallel(&utility, req.plan.workers)?
-        } else {
-            try_leave_one_out(&utility)?
-        };
-        Ok(Explanation::DataValuation(att))
+        if req.plan.parallel() {
+            return dispatch_local(self, model, req, req.plan.workers);
+        }
+        Ok(Explanation::DataValuation(try_leave_one_out(&resolve_utility(req))?))
     }
 
     fn as_shardable(&self) -> Option<&dyn ShardableExplainer> {
@@ -219,17 +214,14 @@ impl Explainer for TmcMethod {
         method_card("Data Shapley (TMC)")
     }
 
-    fn explain(&self, _model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
+    fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         let plan = req.plan;
+        if plan.parallel() {
+            return dispatch_local(self, model, req, plan.workers);
+        }
         let config = TmcConfig { seed: plan.seed, ..self.config };
-        let utility = resolve_utility(req);
-        let att = if plan.parallel() {
-            reject_budget("Data Shapley (TMC) with workers > 1", req)?;
-            try_tmc_shapley_parallel(&utility, config, plan.workers)?
-        } else {
-            try_tmc_shapley_budgeted(&utility, config, plan.budget)?.attribution
-        };
-        Ok(Explanation::DataValuation(att))
+        let att = try_tmc_shapley_budgeted(&resolve_utility(req), config, plan.budget)?;
+        Ok(Explanation::DataValuation(att.attribution))
     }
 
     fn as_shardable(&self) -> Option<&dyn ShardableExplainer> {
@@ -251,8 +243,9 @@ impl TmcMethod {
 
 impl ShardableExplainer for TmcMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
-        // Sharding reproduces the parallel dispatch, which rejects budgets.
+        // The chunk layout meters no budget.
         reject_budget("Data Shapley (TMC) with workers > 1", req)?;
+        data_shapley::check_config(&self.config)?;
         Ok(DrawGrid {
             total_draws: self.config.permutations,
             chunk_size: parallel::PERMS_PER_CHUNK,
@@ -343,16 +336,13 @@ impl Explainer for BanzhafMethod {
         method_card("Data Banzhaf")
     }
 
-    fn explain(&self, _model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
+    fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         let plan = req.plan;
+        if plan.parallel() {
+            return dispatch_local(self, model, req, plan.workers);
+        }
         let config = BanzhafConfig { seed: plan.seed, ..self.config };
-        let utility = resolve_utility(req);
-        let att = if plan.parallel() {
-            reject_budget("Data Banzhaf with workers > 1", req)?;
-            try_data_banzhaf_parallel(&utility, config, plan.workers)?
-        } else {
-            try_data_banzhaf_budgeted(&utility, config, plan.budget)?
-        };
+        let att = try_data_banzhaf_budgeted(&resolve_utility(req), config, plan.budget)?;
         Ok(Explanation::DataValuation(att))
     }
 
@@ -375,9 +365,9 @@ impl BanzhafMethod {
 impl ShardableExplainer for BanzhafMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         reject_budget("Data Banzhaf", req)?;
+        banzhaf::check_config(&self.config)?;
         let n = resolve_utility(req).n_train();
-        // One chunk per training point: point i draws from child_seed(seed, i)
-        // exactly as in the per-point parallel twin.
+        // One chunk per training point: point i draws from child_seed(seed, i).
         Ok(DrawGrid { total_draws: n, chunk_size: 1 })
     }
 
@@ -474,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn tmc_trait_path_is_bit_identical_to_the_legacy_twins() {
+    fn tmc_trait_path_matches_the_sequential_estimator() {
         let u = additive(8);
         let data = german_credit(20, 8);
         let model = fit_model(&data);
@@ -486,12 +476,14 @@ mod tests {
         let e = method.explain(&model, &req).unwrap();
         assert_eq!(e.as_valuation().unwrap().values, seq.attribution.values);
 
-        let par = try_tmc_shapley_parallel(&u, config, 2).unwrap();
-        let req = ExplainRequest::new(&data)
-            .utility(&u)
-            .plan(RunConfig::seeded(9).with_workers(2));
-        let e = method.explain(&model, &req).unwrap();
-        assert_eq!(e.as_valuation().unwrap().values, par.values);
+        // workers > 1 runs the chunk grid: worker-count invariant.
+        let chunked = |workers| {
+            let req = ExplainRequest::new(&data)
+                .utility(&u)
+                .plan(RunConfig::seeded(9).with_workers(workers));
+            method.explain(&model, &req).unwrap().as_valuation().unwrap().values.clone()
+        };
+        assert_eq!(chunked(2), chunked(4));
     }
 
     #[test]

@@ -54,16 +54,7 @@ pub use influence::{
     influence_on_test_loss, removal_parameter_change, retraining_ground_truth, Solver,
 };
 pub use knn_shapley::{knn_shapley, knn_shapley_single};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
-pub use parallel::{
-    data_banzhaf_parallel, tmc_shapley_parallel, try_data_banzhaf_parallel,
-    try_tmc_shapley_parallel,
-};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
-pub use loo::{
-    exact_data_shapley, leave_one_out, leave_one_out_parallel, try_leave_one_out,
-    try_leave_one_out_parallel,
-};
+pub use loo::{exact_data_shapley, leave_one_out, try_leave_one_out};
 pub use tree_influence::{
     fixed_structure_ground_truth, fixed_structure_retrain, leaf_influence_first_order,
 };

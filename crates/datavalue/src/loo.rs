@@ -8,19 +8,17 @@
 //! validated against them (experiments E12–E14).
 
 use crate::utility::{check_finite_values, Utility};
-use xai_core::{catch_model, DataAttribution, XaiError, XaiResult};
-use xai_rand::parallel::{par_map_chunks, try_par_map_chunks};
+use xai_core::{catch_model, DataAttribution, XaiResult};
 
-/// Points handled per executor task in [`leave_one_out_parallel`]. Fixed
-/// (never derived from the worker count) so the chunk grid — and hence the
-/// result — is worker-invariant.
+/// Points per chunk of the leave-one-out grid that `LooMethod` runs for
+/// `workers > 1` and the shard layer partitions. Fixed (never derived
+/// from the worker count) so the chunk grid is worker-invariant.
 pub(crate) const POINTS_PER_CHUNK: usize = 8;
 
-/// One executor chunk of leave-one-out values: walks the in-place hole
-/// buffer over `range`, exactly like the corresponding slice of the
-/// sequential pass. The single source of the chunk body — the parallel
-/// twin and the shard layer both call this, which is what makes sharded
-/// partials merge bit-identically. Draws no randomness.
+/// Leave-one-out values of the points in `range`: walks the in-place hole
+/// buffer over the range. The single LOO body — [`leave_one_out`] runs
+/// it over every point, the chunk grid over one chunk each — so any
+/// partition concatenates to the same bits. Draws no randomness.
 pub(crate) fn loo_chunk_values(
     utility: &dyn Utility,
     full: f64,
@@ -49,72 +47,25 @@ fn advance_hole(without: &mut [usize], i: usize) {
 /// Leave-one-out values: `v_i = U(D) − U(D ∖ {i})`. Costs `n + 1` model
 /// retrainings. All `n` subset evaluations share **one** scratch buffer:
 /// `D ∖ {i}` differs from `D ∖ {i + 1}` in a single slot, so the buffer is
-/// mutated in place instead of reallocated per point.
+/// mutated in place instead of reallocated per point. This is the one
+/// chunk body run over the whole point range, so it is bit-identical to
+/// any chunked run.
 pub fn leave_one_out(utility: &dyn Utility) -> DataAttribution {
     let n = utility.n_train();
     let all: Vec<usize> = (0..n).collect();
     let full = utility.eval(&all);
-    let mut without: Vec<usize> = (1..n).collect();
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        values.push(full - utility.eval(&without));
-        if i + 1 < n {
-            advance_hole(&mut without, i);
-        }
-    }
+    let values = loo_chunk_values(utility, full, 0..n);
     DataAttribution { values, measure: "leave-one-out utility change".into() }
 }
 
 /// Fallible twin of [`leave_one_out`]: a utility that panics (a retrain
 /// blowing up) or returns non-finite scores yields
-/// [`XaiError::ModelFault`] instead of unwinding or leaking NaN values.
+/// [`xai_core::XaiError::ModelFault`] instead of unwinding or leaking NaN
+/// values.
 pub fn try_leave_one_out(utility: &dyn Utility) -> XaiResult<DataAttribution> {
     let att = catch_model("leave-one-out retraining", || leave_one_out(utility))?;
     check_finite_values(&att.values, "leave-one-out")?;
     Ok(att)
-}
-
-/// [`leave_one_out`] with the per-point retrainings spread across
-/// `workers` threads. Points are split into fixed-size chunks; each chunk
-/// walks its own in-place scratch buffer exactly like the sequential path
-/// and chunk results are concatenated in order, so the output is
-/// bit-identical to [`leave_one_out`] for every worker count.
-#[deprecated(note = "superseded by the unified explainer layer: use LooMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn leave_one_out_parallel<U: Utility + Sync>(utility: &U, workers: usize) -> DataAttribution {
-    assert!(workers >= 1, "need at least one worker");
-    let n = utility.n_train();
-    let all: Vec<usize> = (0..n).collect();
-    let full = utility.eval(&all);
-    // LOO draws no randomness; the executor is used purely for fork-join.
-    let chunks = par_map_chunks(n, POINTS_PER_CHUNK, 0, workers, |_chunk, range, _rng| {
-        loo_chunk_values(utility, full, range)
-    });
-    let values: Vec<f64> = chunks.into_iter().flatten().collect();
-    DataAttribution { values, measure: "leave-one-out utility change".into() }
-}
-
-/// Fallible twin of [`leave_one_out_parallel`]: a panic inside a worker
-/// chunk yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking chunk (worker-count invariant); non-finite scores yield
-/// [`XaiError::ModelFault`].
-#[deprecated(note = "superseded by the unified explainer layer: use LooMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_leave_one_out_parallel<U: Utility + Sync>(
-    utility: &U,
-    workers: usize,
-) -> XaiResult<DataAttribution> {
-    assert!(workers >= 1, "need at least one worker");
-    let n = utility.n_train();
-    let all: Vec<usize> = (0..n).collect();
-    let full = catch_model("leave-one-out full-set retraining", || utility.eval(&all))?;
-    let chunks = try_par_map_chunks(n, POINTS_PER_CHUNK, 0, workers, |_chunk, range, _rng| {
-        loo_chunk_values(utility, full, range)
-    })
-    .map_err(XaiError::from)?;
-    let values: Vec<f64> = chunks.into_iter().flatten().collect();
-    check_finite_values(&values, "leave-one-out")?;
-    Ok(DataAttribution { values, measure: "leave-one-out utility change".into() })
 }
 
 /// Exact Data Shapley by full subset enumeration — `O(2^n)` retrainings,
@@ -143,7 +94,6 @@ pub fn exact_data_shapley(utility: &dyn Utility) -> DataAttribution {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use crate::utility::FnUtility;
@@ -179,14 +129,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_loo_is_bit_identical_across_worker_counts() {
+    fn chunked_loo_is_bit_identical_for_every_chunk_size() {
         let u = FnUtility::new(21, |s: &[usize]| {
             s.iter().map(|&i| ((i * i) as f64).sqrt()).sum::<f64>().sin()
         });
         let seq = leave_one_out(&u);
-        for workers in [1, 2, 4, 7] {
-            let par = leave_one_out_parallel(&u, workers);
-            assert_eq!(seq.values, par.values, "workers={workers} diverged");
+        let all: Vec<usize> = (0..21).collect();
+        let full = u.eval(&all);
+        for chunk in [1, 2, 4, POINTS_PER_CHUNK, 7] {
+            let chunked: Vec<f64> = (0..21usize.div_ceil(chunk))
+                .flat_map(|c| loo_chunk_values(&u, full, c * chunk..((c + 1) * chunk).min(21)))
+                .collect();
+            assert_eq!(seq.values, chunked, "chunk={chunk} diverged");
         }
     }
 

@@ -1,17 +1,19 @@
-//! Parallel Monte-Carlo data valuation on the `xai_rand` executor.
+//! The chunk layout of Monte-Carlo data valuation.
 //!
 //! Permutation walks (TMC-Shapley) and per-point coalition draws (Banzhaf)
-//! are embarrassingly parallel. Both entry points here inherit the
-//! executor's determinism invariant: every chunk of work draws from a
-//! [`xai_rand::child_seed`]-derived stream and partials are reduced in
-//! chunk order, so the output is a pure function of the seed —
-//! bit-identical across runs *and across worker counts*.
+//! are embarrassingly parallel. `TmcMethod` and `BanzhafMethod` run the
+//! chunk bodies here for `workers > 1` (through
+//! `xai_core::backend::dispatch_local`) and on every shard backend: each
+//! chunk draws from a [`xai_rand::child_seed`]-derived stream and
+//! partials are reduced in chunk order, so the output is a pure function
+//! of the seed — bit-identical across runs, worker counts and shard
+//! splits.
 
 use crate::banzhaf::BanzhafConfig;
 use crate::data_shapley::TmcConfig;
 use crate::utility::{check_finite_values, Utility};
 use xai_core::{catch_model, DataAttribution, XaiError, XaiResult};
-use xai_rand::parallel::{sum_partials, try_par_map_chunks, try_par_map_seeded};
+use xai_rand::parallel::sum_partials;
 use xai_rand::rngs::StdRng;
 use xai_rand::seq::SliceRandom;
 use xai_rand::Rng;
@@ -21,8 +23,7 @@ use xai_rand::Rng;
 pub(crate) const PERMS_PER_CHUNK: usize = 16;
 
 /// Evaluates and validates the TMC truncation endpoints `U(D)` and
-/// `U(∅)`. Shared by the in-process parallel twin and the shard layer so
-/// both reject a faulty utility with the same typed error.
+/// `U(∅)`, rejecting a faulty utility with a typed error.
 pub(crate) fn tmc_endpoints(utility: &dyn Utility) -> XaiResult<(f64, f64)> {
     let n = utility.n_train();
     let all: Vec<usize> = (0..n).collect();
@@ -39,9 +40,8 @@ pub(crate) fn tmc_endpoints(utility: &dyn Utility) -> XaiResult<(f64, f64)> {
 
 /// One executor chunk of TMC permutation walks: `count` truncated
 /// permutations drawn from `rng`, accumulated into per-point marginal
-/// sums. The single source of the chunk body — the parallel twin and the
-/// shard layer both call this, which is what makes sharded partials merge
-/// bit-identically.
+/// sums. The single source of the chunk body, which is what makes any
+/// partition of the grid merge bit-identically.
 pub(crate) fn tmc_chunk_sums(
     utility: &dyn Utility,
     config: TmcConfig,
@@ -73,8 +73,7 @@ pub(crate) fn tmc_chunk_sums(
 
 /// Reduces ordered per-chunk marginal sums to the final TMC attribution:
 /// left-fold in chunk order, divide by the permutation count, reject
-/// non-finite values. Shared epilogue of the parallel twin and the shard
-/// merge.
+/// non-finite values. The chunk-layout merge epilogue.
 pub(crate) fn tmc_finish(
     partials: Vec<Vec<f64>>,
     permutations: usize,
@@ -92,8 +91,7 @@ pub(crate) fn tmc_finish(
 }
 
 /// One executor task of data Banzhaf: all coalition draws for training
-/// point `i` from stream `rng`, averaged. Shared by the parallel twin and
-/// the shard layer (one shard chunk per point).
+/// point `i` from stream `rng`, averaged (one chunk per point).
 pub(crate) fn banzhaf_point(
     utility: &dyn Utility,
     config: BanzhafConfig,
@@ -118,112 +116,22 @@ pub(crate) fn banzhaf_point(
     acc / config.samples_per_point as f64
 }
 
-/// Validates per-point Banzhaf values and stamps the measure string.
-/// Shared epilogue of the parallel twin and the shard merge.
+/// Validates per-point Banzhaf values and stamps the measure string: the
+/// chunk-layout merge epilogue.
 pub(crate) fn banzhaf_finish(values: Vec<f64>, workers: usize) -> XaiResult<DataAttribution> {
     check_finite_values(&values, "parallel data Banzhaf")?;
     Ok(DataAttribution { values, measure: format!("data Banzhaf ({workers} workers)") })
 }
 
-/// Runs TMC-Shapley with the permutation walks spread across `workers`
-/// threads. The estimate is bit-identical for a fixed `config.seed`
-/// regardless of `workers` (see module docs); it converges to the same
-/// estimand as the sequential `tmc_shapley`.
-///
-/// # Panics
-/// Panics when the utility panics or returns non-finite scores; use
-/// [`try_tmc_shapley_parallel`] for typed errors.
-#[deprecated(note = "superseded by the unified explainer layer: use TmcMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn tmc_shapley_parallel<U: Utility + Sync>(
-    utility: &U,
-    config: TmcConfig,
-    workers: usize,
-) -> DataAttribution {
-    try_tmc_shapley_parallel(utility, config, workers)
-        .expect("parallel TMC-Shapley failed; try_tmc_shapley_parallel recovers this")
-}
-
-/// Fallible twin of [`tmc_shapley_parallel`]: a panic inside a worker
-/// chunk yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking chunk (worker-count invariant); non-finite utility scores
-/// yield [`XaiError::ModelFault`]. Fault-free runs are bit-identical to
-/// [`tmc_shapley_parallel`].
-#[deprecated(note = "superseded by the unified explainer layer: use TmcMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_tmc_shapley_parallel<U: Utility + Sync>(
-    utility: &U,
-    config: TmcConfig,
-    workers: usize,
-) -> XaiResult<DataAttribution> {
-    assert!(workers >= 1);
-    assert!(config.permutations >= 1, "need at least one permutation");
-    let (full_score, empty_score) = tmc_endpoints(utility)?;
-
-    let partials = try_par_map_chunks(
-        config.permutations,
-        PERMS_PER_CHUNK,
-        config.seed,
-        workers,
-        |_chunk, range, rng| {
-            tmc_chunk_sums(utility, config, range.len(), full_score, empty_score, rng)
-        },
-    )
-    .map_err(XaiError::from)?;
-
-    tmc_finish(partials, config.permutations, workers)
-}
-
-/// Monte-Carlo data Banzhaf with one executor task per training point.
-///
-/// Point `i` draws its coalitions from stream `child_seed(seed, i)`, so the
-/// result is deterministic and worker-invariant (though it differs from the
-/// single-stream sequential `data_banzhaf` draw-for-draw — both are
-/// unbiased estimates of the same semivalue).
-///
-/// # Panics
-/// Panics when the utility panics or returns non-finite scores; use
-/// [`try_data_banzhaf_parallel`] for typed errors.
-#[deprecated(note = "superseded by the unified explainer layer: use BanzhafMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn data_banzhaf_parallel<U: Utility + Sync>(
-    utility: &U,
-    config: BanzhafConfig,
-    workers: usize,
-) -> DataAttribution {
-    try_data_banzhaf_parallel(utility, config, workers)
-        .expect("parallel data Banzhaf failed; try_data_banzhaf_parallel recovers this")
-}
-
-/// Fallible twin of [`data_banzhaf_parallel`]: a panic inside a worker
-/// task yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking task (worker-count invariant); non-finite utility scores
-/// yield [`XaiError::ModelFault`]. Fault-free runs are bit-identical to
-/// [`data_banzhaf_parallel`].
-#[deprecated(note = "superseded by the unified explainer layer: use BanzhafMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_data_banzhaf_parallel<U: Utility + Sync>(
-    utility: &U,
-    config: BanzhafConfig,
-    workers: usize,
-) -> XaiResult<DataAttribution> {
-    assert!(workers >= 1);
-    assert!(config.samples_per_point >= 1);
-    let n = utility.n_train();
-    let values =
-        try_par_map_seeded(n, config.seed, workers, |i, rng| banzhaf_point(utility, config, i, rng))
-            .map_err(XaiError::from)?;
-    banzhaf_finish(values, workers)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use crate::banzhaf::exact_data_banzhaf;
     use crate::data_shapley::tmc_shapley;
     use crate::loo::exact_data_shapley;
     use crate::utility::FnUtility;
+    use xai_rand::rngs::StdRng;
+    use xai_rand::{child_seed, SeedableRng};
 
     fn game() -> FnUtility<impl Fn(&[usize]) -> f64> {
         FnUtility::new(8, |s: &[usize]| {
@@ -232,67 +140,63 @@ mod tests {
         })
     }
 
+    /// The TMC chunk layout over its whole grid, merged in one process.
+    fn tmc_chunks(u: &dyn Utility, config: TmcConfig) -> DataAttribution {
+        let (full, empty) = tmc_endpoints(u).unwrap();
+        let partials = (0..config.permutations.div_ceil(PERMS_PER_CHUNK))
+            .map(|c| {
+                let count = PERMS_PER_CHUNK.min(config.permutations - c * PERMS_PER_CHUNK);
+                let mut rng = StdRng::seed_from_u64(child_seed(config.seed, c as u64));
+                tmc_chunk_sums(u, config, count, full, empty, &mut rng)
+            })
+            .collect();
+        tmc_finish(partials, config.permutations, 1).unwrap()
+    }
+
+    /// The Banzhaf chunk layout: one chunk per training point.
+    fn banzhaf_chunks(u: &dyn Utility, config: BanzhafConfig) -> DataAttribution {
+        let values = (0..u.n_train())
+            .map(|i| {
+                let mut rng = StdRng::seed_from_u64(child_seed(config.seed, i as u64));
+                banzhaf_point(u, config, i, &mut rng)
+            })
+            .collect();
+        banzhaf_finish(values, 1).unwrap()
+    }
+
     #[test]
-    fn parallel_matches_exact() {
+    fn chunked_tmc_matches_exact() {
         let u = game();
         let exact = exact_data_shapley(&u);
-        let par = tmc_shapley_parallel(
-            &u,
-            TmcConfig { permutations: 4000, truncation_tolerance: 0.0, seed: 3 },
-            4,
-        );
-        for (a, b) in par.values.iter().zip(&exact.values) {
+        let chunked =
+            tmc_chunks(&u, TmcConfig { permutations: 4000, truncation_tolerance: 0.0, seed: 3 });
+        for (a, b) in chunked.values.iter().zip(&exact.values) {
             assert!((a - b).abs() < 0.03, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn deterministic_for_fixed_seed() {
-        let u = game();
-        let cfg = TmcConfig { permutations: 64, truncation_tolerance: 0.0, seed: 9 };
-        let a = tmc_shapley_parallel(&u, cfg, 3);
-        let b = tmc_shapley_parallel(&u, cfg, 3);
-        assert_eq!(a.values, b.values);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_result_at_all() {
-        // Stronger than "same estimand": the chunk grid is fixed, so any
-        // worker count reproduces the exact same floating-point output.
-        let u = game();
-        let cfg = TmcConfig { permutations: 96, truncation_tolerance: 0.0, seed: 11 };
-        let one = tmc_shapley_parallel(&u, cfg, 1);
-        for workers in [2, 4, 8] {
-            let w = tmc_shapley_parallel(&u, cfg, workers);
-            assert_eq!(one.values, w.values, "workers={workers} diverged");
-        }
-    }
-
-    #[test]
-    fn single_worker_agrees_with_sequential_estimator_statistically() {
+    fn chunked_tmc_agrees_with_sequential_estimator_statistically() {
         // Different RNG streams, same estimand: totals (efficiency) agree
         // exactly, values agree within Monte-Carlo error.
         let u = game();
         let cfg = TmcConfig { permutations: 3000, truncation_tolerance: 0.0, seed: 5 };
         let seq = tmc_shapley(&u, cfg);
-        let par = tmc_shapley_parallel(&u, cfg, 1);
+        let chunked = tmc_chunks(&u, cfg);
         let sum_seq: f64 = seq.attribution.values.iter().sum();
-        let sum_par: f64 = par.values.iter().sum();
-        assert!((sum_seq - sum_par).abs() < 1e-9, "efficiency is exact in both");
-        for (a, b) in par.values.iter().zip(&seq.attribution.values) {
+        let sum_chunked: f64 = chunked.values.iter().sum();
+        assert!((sum_seq - sum_chunked).abs() < 1e-9, "efficiency is exact in both");
+        for (a, b) in chunked.values.iter().zip(&seq.attribution.values) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn parallel_banzhaf_converges_and_is_worker_invariant() {
+    fn chunked_banzhaf_converges() {
         let u = game();
-        let cfg = BanzhafConfig { samples_per_point: 2000, seed: 7 };
         let exact = exact_data_banzhaf(&u);
-        let p1 = data_banzhaf_parallel(&u, cfg, 1);
-        let p4 = data_banzhaf_parallel(&u, cfg, 4);
-        assert_eq!(p1.values, p4.values, "worker count changed the draw");
-        for (a, b) in p1.values.iter().zip(&exact.values) {
+        let chunked = banzhaf_chunks(&u, BanzhafConfig { samples_per_point: 2000, seed: 7 });
+        for (a, b) in chunked.values.iter().zip(&exact.values) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
     }

@@ -11,7 +11,7 @@
 //! the paper.
 
 use crate::semiring::{Polynomial, VarId};
-use xai_shapley::{exact_shapley, permutation_shapley, CooperativeGame};
+use xai_shapley::{exact_shapley, permutation_shapley, BatchGame, CooperativeGame};
 
 /// The Boolean query-answer game over endogenous tuples.
 pub struct TupleGame<'a> {
@@ -40,6 +40,8 @@ impl CooperativeGame for TupleGame<'_> {
         f64::from(self.provenance.present(&present))
     }
 }
+
+impl BatchGame for TupleGame<'_> {}
 
 /// Exact tuple Shapley values (exponential in the endogenous tuple count).
 pub fn tuple_shapley_exact(provenance: &Polynomial, endogenous: &[VarId]) -> Vec<f64> {

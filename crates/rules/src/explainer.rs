@@ -3,14 +3,16 @@
 //! as a global rule surrogate of the model under explanation.
 //!
 //! Dispatch contract: `workers > 1` runs a *pool* of independent Anchors
-//! searches — candidate `p` at seed `child_seed(seed, p)` — across the
-//! seeded executor and keeps the best rule (highest precision, then
-//! shortest, then widest coverage), worker-count invariant and the grid
-//! the shard layer partitions. Decision-set mining is a deterministic
+//! searches — candidate `p` at seed `child_seed(seed, p)` — and keeps the
+//! best rule (highest precision, then shortest, then widest coverage).
+//! The pool is the method's chunk grid, run on the executor through
+//! [`xai_core::backend::dispatch_local`] like every shard backend, so it
+//! is worker-count invariant. Decision-set mining is a deterministic
 //! pass with no random draws, so every execution plan returns the same
 //! rule set. A `SampleBudget` is rejected as [`XaiError::Unsupported`]
 //! by both methods.
 
+use xai_core::backend::dispatch_local;
 use xai_core::shard::{
     arr_field, chunks_json, flatten_chunks, index_field, num_field, str_field, wire_error,
     DrawGrid, ShardableExplainer,
@@ -21,7 +23,6 @@ use xai_core::{
     ModelOracle, Op, RuleExplanation, XaiError, XaiResult,
 };
 use xai_rand::child_seed;
-use xai_rand::parallel::try_par_map_seeded;
 
 use crate::anchors::{AnchorsConfig, AnchorsExplainer};
 use crate::ids::{DecisionSet, IdsConfig};
@@ -135,7 +136,7 @@ fn rule_from_json(json: &Json, what: &str) -> XaiResult<RuleExplanation> {
 pub struct AnchorsMethod {
     /// Precision target, confidence and length cap of the bandit search.
     pub config: AnchorsConfig,
-    /// Independent searches raced on the parallel path; the best rule
+    /// Independent searches raced when `workers > 1`; the best rule
     /// (highest precision, then shortest, then widest coverage) wins.
     /// `workers == 1` runs a single search at the plan seed.
     pub pool: usize,
@@ -157,26 +158,14 @@ impl Explainer for AnchorsMethod {
         let instance = req.need_instance("Anchors")?;
         validate::finite_slice("Anchors instance", instance)?;
         validate::finite_matrix("Anchors dataset", req.data.x())?;
+        if req.plan.parallel() {
+            return dispatch_local(self, model, req, req.plan.workers);
+        }
         let explainer = AnchorsExplainer::fit(req.data);
         let f = |x: &[f64]| model.predict(x);
-        let rule = if req.plan.parallel() {
-            let pool = self.pool.max(1);
-            let rules = try_par_map_seeded(pool, req.plan.seed, req.plan.workers, |p, _rng| {
-                // Candidate `p` always searches at `child_seed(seed, p)`
-                // (the executor's task RNG is unused), so the pool is
-                // worker-count invariant and shardable per candidate.
-                catch_model("Anchors bandit search", || {
-                    explainer.explain(&f, instance, self.config, child_seed(req.plan.seed, p as u64))
-                })
-            })?
-            .into_iter()
-            .collect::<XaiResult<Vec<_>>>()?;
-            select_best(rules).expect("pool is non-empty")
-        } else {
-            catch_model("Anchors bandit search", || {
-                explainer.explain(&f, instance, self.config, req.plan.seed)
-            })?
-        };
+        let rule = catch_model("Anchors bandit search", || {
+            explainer.explain(&f, instance, self.config, req.plan.seed)
+        })?;
         Ok(Explanation::Rules(vec![rule]))
     }
 

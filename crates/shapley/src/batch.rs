@@ -32,8 +32,12 @@
 //!   [`CachedGame`].
 //! - **> 64 features, or callers holding only a closure** — the
 //!   [`BatchPredictionGame`] here, which trades one big allocation for
-//!   batched inference and works at any arity. The legacy `*_batched`
-//!   free-function twins also remain on this path.
+//!   batched inference and works at any arity.
+//!
+//! A `batched: false` plan evaluates the scalar
+//! [`crate::PredictionGame`] through the same estimator bodies: every
+//! [`CooperativeGame`] is a `BatchGame` by the default one-by-one loop,
+//! so `batched` picks a game object, never an estimator.
 //!
 //! Everything on either path preserves the workspace determinism contract
 //! *bitwise*: a batched estimator run equals its scalar counterpart

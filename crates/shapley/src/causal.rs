@@ -76,6 +76,8 @@ impl CooperativeGame for CausalGame<'_> {
     }
 }
 
+impl crate::batch::BatchGame for CausalGame<'_> {}
+
 /// Exact causal Shapley values (enumeration over feature coalitions).
 pub fn causal_shapley(
     model: &dyn Fn(&[f64]) -> f64,

@@ -96,6 +96,8 @@ impl CooperativeGame for ConditionalGame<'_> {
     }
 }
 
+impl crate::batch::BatchGame for ConditionalGame<'_> {}
+
 /// Exact conditional Shapley values (coalition enumeration).
 pub fn conditional_shapley(
     model: &dyn Fn(&[f64]) -> f64,

@@ -124,6 +124,8 @@ impl CooperativeGame for FlowGame<'_> {
     }
 }
 
+impl crate::batch::BatchGame for FlowGame<'_> {}
+
 /// Computes exact Shapley flow for a (small) SCM: players are every causal
 /// edge plus one source edge per node, enumerated exhaustively.
 ///

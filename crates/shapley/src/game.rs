@@ -39,9 +39,8 @@ pub trait CooperativeGame {
 /// values (the marginal expectation).
 /// Generic over the model's function type (defaulting to a plain trait
 /// object) so that `Sync`-ness propagates: built from a `Sync` closure the
-/// game is itself `Sync` and can feed the parallel estimators
-/// ([`crate::permutation_shapley_parallel`],
-/// [`crate::kernel_shap_parallel`]).
+/// game is itself `Sync` and can be shared by the chunk tasks of a
+/// `workers > 1` plan.
 pub struct PredictionGame<'a, F: ?Sized = dyn Fn(&[f64]) -> f64 + 'a> {
     model: &'a F,
     instance: &'a [f64],

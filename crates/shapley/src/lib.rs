@@ -18,12 +18,15 @@
 //! | [`batch`] | batched coalition evaluation + memo cache | — |
 //! | [`masked`] | zero-copy masked evaluation + cross-request memo | — |
 //!
-//! The Monte-Carlo estimators each have a `*_batched` twin that accepts a
-//! [`batch::BatchGame`] and materializes whole sampling rounds into single
-//! model calls; at the same seed the twins are bit-identical. For models
-//! with a [`xai_core::ModelOracle`] surface and ≤ 64 features, the batched
-//! path routes through [`masked::MaskedPredictionGame`], which evaluates
-//! coalitions zero-copy — still bit-identical at every seed.
+//! Each Monte-Carlo estimator is written once per draw layout — the
+//! one-stream sequential layout and the seeded chunk grid that
+//! `workers > 1` and the shard layer run — and evaluates through a
+//! [`batch::BatchGame`], which materializes whole sampling rounds into
+//! single model calls. `RunConfig::batched` only picks the game: for
+//! models with a [`xai_core::ModelOracle`] surface and ≤ 64 features the
+//! batched game is [`masked::MaskedPredictionGame`], which evaluates
+//! coalitions zero-copy; unbatched plans use the scalar
+//! [`game::PredictionGame`]. All games are bit-identical at every seed.
 pub mod asymmetric;
 pub mod batch;
 pub mod causal;
@@ -59,21 +62,14 @@ pub use global::{
     GlobalImportance,
 };
 pub use owen::{one_hot_groups, owen_values, OwenValues};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
 pub use kernel::{
-    kernel_shap, kernel_shap_batched, kernel_shap_batched_parallel, kernel_shap_parallel,
-    shapley_kernel_weight, try_kernel_shap, try_kernel_shap_batched,
-    try_kernel_shap_batched_parallel, try_kernel_shap_budgeted, try_kernel_shap_parallel,
-    KernelShap, KernelShapConfig,
+    kernel_shap, shapley_kernel_weight, try_kernel_shap, try_kernel_shap_budgeted, KernelShap,
+    KernelShapConfig,
 };
 pub use qii::{set_qii, shapley_qii, unary_qii};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
 pub use sampling::{
-    antithetic_permutation_shapley, permutation_shapley, permutation_shapley_batched,
-    permutation_shapley_batched_parallel, permutation_shapley_parallel,
-    try_antithetic_permutation_shapley, try_permutation_shapley, try_permutation_shapley_batched,
-    try_permutation_shapley_batched_parallel, try_permutation_shapley_budgeted,
-    try_permutation_shapley_parallel, SampledShapley,
+    antithetic_permutation_shapley, permutation_shapley, try_antithetic_permutation_shapley,
+    try_permutation_shapley, try_permutation_shapley_budgeted, SampledShapley,
 };
 pub use tree::{
     brute_force_tree_shap, forest_shap, gbdt_shap, tree_expected_value, tree_shap,

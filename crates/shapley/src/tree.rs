@@ -228,6 +228,8 @@ impl CooperativeGame for PathDependentGame<'_> {
     }
 }
 
+impl crate::batch::BatchGame for PathDependentGame<'_> {}
+
 /// Exact Shapley values for a tree via brute-force enumeration of the
 /// path-dependent game — exponential in feature count; the E3 baseline.
 pub fn brute_force_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<f64> {

@@ -3,15 +3,13 @@
 //! `φ_i = w_i · (x_i − mean_i)`, where `mean_i` is the background mean of
 //! feature `i`. Every estimator in the crate must reproduce it — the
 //! enumerating oracle exactly, Kernel SHAP on a full coalition budget to
-//! 1e-10, and the batched paths bit-identically to their scalar twins.
-// The legacy twins stay under golden test until removal.
-#![allow(deprecated)]
+//! 1e-10, and the batched games bit-identically to the scalar game.
 
 use xai_linalg::Matrix;
 use xai_models::{batch_regress_fn, regress_fn, LinearRegression};
 use xai_shapley::{
-    exact_shapley, kernel_shap, kernel_shap_batched, BatchPredictionGame, CachedGame,
-    KernelShapConfig, PredictionGame,
+    exact_shapley, kernel_shap, BatchPredictionGame, CachedGame, KernelShapConfig,
+    PredictionGame,
 };
 
 const N: usize = 8;
@@ -77,12 +75,12 @@ fn batched_path_passes_the_same_oracles_bit_identically() {
     let batch_game = BatchPredictionGame::new(&bf, &instance, &background);
     let cfg = KernelShapConfig { ridge: 1e-12, ..KernelShapConfig::default() };
     let scalar = kernel_shap(&scalar_game, cfg);
-    let batched = kernel_shap_batched(&batch_game, cfg);
+    let batched = kernel_shap(&batch_game, cfg);
     assert_eq!(scalar.phi, batched.phi, "batched kernel SHAP must be bit-identical");
     assert_eq!(scalar.base_value, batched.base_value);
 
     let cached = CachedGame::new(&batch_game);
-    let memoed = kernel_shap_batched(&cached, cfg);
+    let memoed = kernel_shap(&cached, cfg);
     assert_eq!(scalar.phi, memoed.phi, "memo cache must not perturb bits");
 
     let oracle = closed_form(&model, &instance, &background);

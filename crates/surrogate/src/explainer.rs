@@ -1,23 +1,23 @@
 //! Unified-layer `Explainer` impls for the surrogate family (DESIGN.md
 //! §9): LIME, SP-LIME, PDP/ICE and integrated-gradients saliency.
 //!
-//! Dispatch contract: `RunConfig::batched` selects the batched legacy
-//! twin where one exists (LIME, PDP). `workers > 1` fans LIME's
-//! perturbation chunks and SP-LIME's candidate explanations across the
-//! seeded executor: LIME's parallel neighbourhood draws chunk `c` from
-//! the `child_seed(seed, c)` stream (worker-count invariant, and the
-//! grid the shard layer partitions), while SP-LIME's per-candidate
-//! streams make its parallel result bit-identical to the sequential one.
-//! PDP and integrated gradients are deterministic single passes with no
-//! random draws for the executor to steer. A `SampleBudget` is honoured
-//! by LIME on the scalar path (an eval cap of `k` equals an unbudgeted
-//! run with `n_samples = k` bit for bit); SP-LIME, PDP/ICE and
-//! integrated gradients reject budgets as [`XaiError::Unsupported`]
-//! rather than silently ignoring the cap.
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
+//! Dispatch contract (pinned by `tests/explain_golden.rs`):
+//! `RunConfig::batched` routes LIME and PDP through the model's batch
+//! surface instead of its scalar one — same body, same bits. `workers > 1`
+//! runs LIME's and SP-LIME's chunk grids on the executor through
+//! [`xai_core::backend::dispatch_local`], the same `explain_chunks` →
+//! `merge_chunks` code the shard backends run: LIME's chunk `c` draws
+//! from the `child_seed(seed, c)` stream (a different neighbourhood than
+//! the one-stream sequential layout, which budgeted and batched LIME
+//! plans keep at any worker count), while SP-LIME's per-candidate seeds
+//! make both layouts agree bit for bit. PDP and integrated gradients are
+//! deterministic single passes with no random draws for the executor to
+//! steer. A `SampleBudget` is honoured by LIME on the scalar path (an
+//! eval cap of `k` equals an unbudgeted run with `n_samples = k` bit for
+//! bit); SP-LIME, PDP/ICE and integrated gradients reject budgets as
+//! [`XaiError::Unsupported`] rather than silently ignoring the cap.
 
+use xai_core::backend::dispatch_local;
 use xai_core::shard::{
     arr_field, chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error,
     DrawGrid, ShardableExplainer,
@@ -30,12 +30,11 @@ use xai_core::{
 use xai_linalg::stats::mean;
 use xai_linalg::Matrix;
 use xai_rand::child_seed;
-use xai_rand::parallel::{try_par_map_chunks, try_par_map_seeded};
 use xai_rand::rngs::StdRng;
 use xai_rand::SeedableRng;
 
 use crate::lime::{self, LimeConfig, LimeExplainer, LimeProbe};
-use crate::pdp::{feature_grid, try_partial_dependence, try_partial_dependence_batched};
+use crate::pdp::{self, feature_grid};
 use crate::saliency::{integrated_gradients, Differentiable};
 use crate::sp_lime::{self, sp_lime};
 
@@ -72,36 +71,6 @@ fn lime_strict(exp: lime::LimeExplanation, plan: &RunConfig) -> XaiResult<Featur
     Ok(exp.attribution)
 }
 
-/// LIME's parallel neighbourhood: the probe grid tiled over the seeded
-/// executor, chunk `c` drawing from the `child_seed(seed, c)` stream —
-/// the same grid [`ShardableExplainer`] partitions, so any worker count
-/// and any shard split reproduce each other bit for bit.
-fn parallel_probes(
-    explainer: &LimeExplainer,
-    model: &dyn ModelOracle,
-    instance: &[f64],
-    config: LimeConfig,
-    plan: &RunConfig,
-) -> XaiResult<Vec<LimeProbe>> {
-    assert!(config.n_samples >= 8, "need a non-trivial neighbourhood");
-    let width = lime::width_for(config, instance.len());
-    let f = |x: &[f64]| model.predict(x);
-    let chunks = try_par_map_chunks(
-        config.n_samples,
-        lime::PROBES_PER_CHUNK,
-        plan.seed,
-        plan.workers,
-        |_c, range: std::ops::Range<usize>, rng: &mut StdRng| {
-            explainer.probe_chunk(&f, instance, width, range.len(), rng)
-        },
-    )?;
-    let mut probes = Vec::with_capacity(config.n_samples);
-    for chunk in chunks {
-        probes.extend(chunk?);
-    }
-    Ok(probes)
-}
-
 /// LIME local surrogate regression (§2.1.1) through the unified layer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LimeMethod {
@@ -117,34 +86,24 @@ impl Explainer for LimeMethod {
 
     fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         let instance = req.need_instance("LIME")?;
+        let plan = req.plan;
+        if plan.budgeted() && plan.batched {
+            return Err(XaiError::Unsupported {
+                context: "budgeted LIME is scalar; set batched = false".into(),
+            });
+        }
+        if plan.parallel() && !plan.batched && !plan.budgeted() {
+            return dispatch_local(self, model, req, plan.workers);
+        }
         let explainer = LimeExplainer::fit(req.data);
-        let f = |x: &[f64]| model.predict(x);
-        let fb = |m: &Matrix| model.predict_batch(m);
-        let exp = if req.plan.budgeted() {
-            if req.plan.batched {
-                return Err(XaiError::Unsupported {
-                    context: "budgeted LIME is scalar; set batched = false".into(),
-                });
+        let f = |m: &Matrix| {
+            if plan.batched {
+                model.predict_batch(m)
+            } else {
+                m.iter_rows().map(|x| model.predict(x)).collect()
             }
-            explainer.try_explain_budgeted(
-                &f,
-                instance,
-                self.config,
-                req.plan.seed,
-                req.plan.budget,
-            )?
-        } else if req.plan.batched {
-            explainer.try_explain_batched(&fb, instance, self.config, req.plan.seed)?
-        } else if req.plan.parallel() {
-            validate::finite_slice("LIME instance", instance)?;
-            let probes = parallel_probes(&explainer, model, instance, self.config, &req.plan)?;
-            let prediction =
-                catch_model("LIME instance prediction", || model.predict(instance))?;
-            let width = lime::width_for(self.config, instance.len());
-            explainer.fit_probes(probes, width, prediction, self.config)?
-        } else {
-            explainer.try_explain(&f, instance, self.config, req.plan.seed)?
         };
+        let exp = explainer.sequential(&f, instance, self.config, plan.seed, plan.budget)?;
         Ok(Explanation::Attribution(lime_strict(exp, &req.plan)?))
     }
 
@@ -177,6 +136,7 @@ impl LimeMethod {
 impl ShardableExplainer for LimeMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         req.need_instance("LIME")?;
+        lime::check_samples(self.config.n_samples)?;
         if req.plan.budget.max_duration.is_some() {
             return Err(XaiError::Unsupported {
                 context: "wall-clock LIME budgets are not shardable; \
@@ -322,35 +282,24 @@ impl Explainer for SpLimeMethod {
 
     fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         reject_budget("SP-LIME", req)?;
+        self.check_config()?;
         validate::finite_matrix("SP-LIME dataset", req.data.x())?;
+        if req.plan.parallel() {
+            return dispatch_local(self, model, req, req.plan.workers);
+        }
         let explainer = LimeExplainer::fit(req.data);
         let f = |x: &[f64]| model.predict(x);
-        let pick = if req.plan.parallel() {
-            // Candidate `i` always explains at `seed + i`, so fanning the
-            // candidates across the executor reproduces the sequential
-            // matrix bit for bit (the per-task executor RNG is unused).
-            let n = sp_lime::candidate_count(req.data, self.n_candidates);
-            let rows = try_par_map_seeded(n, req.plan.seed, req.plan.workers, |i, _rng| {
-                sp_lime::candidate_row(&explainer, &f, req.data, i, self.config, req.plan.seed)
-            })?;
-            let mut w = Matrix::zeros(n, req.data.n_features());
-            for (i, row) in rows.into_iter().enumerate() {
-                w.row_mut(i).copy_from_slice(&row?);
-            }
-            sp_lime::pick_from_w(w, self.picks)
-        } else {
-            catch_model("SP-LIME candidate explanation", || {
-                sp_lime(
-                    &explainer,
-                    &f,
-                    req.data,
-                    self.n_candidates,
-                    self.picks,
-                    self.config,
-                    req.plan.seed,
-                )
-            })?
-        };
+        let pick = catch_model("SP-LIME candidate explanation", || {
+            sp_lime(
+                &explainer,
+                &f,
+                req.data,
+                self.n_candidates,
+                self.picks,
+                self.config,
+                req.plan.seed,
+            )
+        })?;
         validate::finite_slice("SP-LIME feature importance", &pick.feature_importance).map_err(
             |_| XaiError::ModelFault {
                 context: "SP-LIME produced non-finite feature importance".into(),
@@ -372,6 +321,15 @@ impl Explainer for SpLimeMethod {
 }
 
 impl SpLimeMethod {
+    /// Rejects a pick of nothing or candidate neighbourhoods too small to
+    /// fit; shared by both layouts.
+    fn check_config(&self) -> XaiResult<()> {
+        if self.picks == 0 {
+            return Err(XaiError::Unsupported { context: "SP-LIME needs picks >= 1".into() });
+        }
+        lime::check_samples(self.config.n_samples)
+    }
+
     /// Rebuilds the method from its canonical shard-config JSON.
     pub fn from_config_json(config: &Json) -> XaiResult<Self> {
         const WHAT: &str = "SP-LIME config";
@@ -391,6 +349,7 @@ impl SpLimeMethod {
 impl ShardableExplainer for SpLimeMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         reject_budget("SP-LIME", req)?;
+        self.check_config()?;
         Ok(DrawGrid {
             total_draws: sp_lime::candidate_count(req.data, self.n_candidates),
             chunk_size: 1,
@@ -507,20 +466,14 @@ impl Explainer for PdpMethod {
             });
         }
         let grid = feature_grid(req.data, feature, self.points);
-        let f = |x: &[f64]| model.predict(x);
-        let fb = |m: &Matrix| model.predict_batch(m);
-        let pd = if req.plan.batched {
-            try_partial_dependence_batched(
-                &fb,
-                req.data,
-                feature,
-                &grid,
-                self.max_rows,
-                self.keep_ice,
-            )?
-        } else {
-            try_partial_dependence(&f, req.data, feature, &grid, self.max_rows, self.keep_ice)?
+        let f = |m: &Matrix| {
+            if req.plan.batched {
+                model.predict_batch(m)
+            } else {
+                m.iter_rows().map(|x| model.predict(x)).collect()
+            }
         };
+        let pd = pdp::try_sweep(&f, req.data, feature, &grid, self.max_rows, self.keep_ice)?;
         Ok(Explanation::Curve(CurveExplanation {
             feature: pd.feature,
             grid: pd.grid,

@@ -34,11 +34,7 @@ pub use saliency::{
 };
 pub use attack::{lime_audit, AttackConfig, AuditResult, ScaffoldedModel};
 pub use importance::{permutation_importance, PermutationImportance};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
-pub use pdp::{
-    feature_grid, partial_dependence, partial_dependence_batched, try_partial_dependence,
-    try_partial_dependence_batched, PartialDependence,
-};
+pub use pdp::{feature_grid, partial_dependence, try_partial_dependence, PartialDependence};
 pub use global::{holdout_fidelity, linear_surrogate, tree_surrogate, GlobalSurrogate};
 pub use lime::{LimeConfig, LimeExplainer, LimeExplanation};
 pub use lmt::{LinearModelTree, LmtConfig};

@@ -11,6 +11,7 @@
 use xai_core::{catch_model, validate, XaiError, XaiResult};
 use xai_data::Dataset;
 use xai_linalg::stats::quantile;
+use xai_linalg::Matrix;
 
 /// A partial-dependence result.
 #[derive(Clone, Debug)]
@@ -79,28 +80,8 @@ pub fn partial_dependence(
     max_rows: usize,
     keep_ice: bool,
 ) -> PartialDependence {
-    assert!(feature < data.n_features());
-    assert!(!grid.is_empty());
-    let rows = data.n_rows().min(max_rows.max(1));
-    let mut pdp = vec![0.0; grid.len()];
-    let mut ice = if keep_ice { Some(Vec::with_capacity(rows)) } else { None };
-    let mut probe = vec![0.0; data.n_features()];
-    for i in 0..rows {
-        probe.copy_from_slice(data.row(i));
-        let mut curve = keep_ice.then(|| Vec::with_capacity(grid.len()));
-        for (g, &v) in grid.iter().enumerate() {
-            probe[feature] = v;
-            let out = model(&probe);
-            pdp[g] += out / rows as f64;
-            if let Some(c) = curve.as_mut() {
-                c.push(out);
-            }
-        }
-        if let (Some(ice), Some(curve)) = (ice.as_mut(), curve) {
-            ice.push(curve);
-        }
-    }
-    PartialDependence { grid: grid.to_vec(), pdp, ice, feature }
+    let batch = |m: &Matrix| m.iter_rows().map(model).collect::<Vec<f64>>();
+    sweep(&batch, data, feature, grid, max_rows, keep_ice)
 }
 
 /// Fallible twin of [`partial_dependence`]: a non-finite grid yields
@@ -115,21 +96,14 @@ pub fn try_partial_dependence(
     max_rows: usize,
     keep_ice: bool,
 ) -> XaiResult<PartialDependence> {
-    validate::finite_slice("PDP grid", grid)?;
-    validate::finite_matrix("PDP dataset", data.x())?;
-    let pd = catch_model("PDP model evaluation", || {
-        partial_dependence(model, data, feature, grid, max_rows, keep_ice)
-    })?;
-    check_curves(&pd)?;
-    Ok(pd)
+    let batch = |m: &Matrix| m.iter_rows().map(model).collect::<Vec<f64>>();
+    try_sweep(&batch, data, feature, grid, max_rows, keep_ice)
 }
 
-/// Fallible twin of [`partial_dependence_batched`]; failure semantics as
-/// in [`try_partial_dependence`].
-#[deprecated(note = "superseded by the unified explainer layer: use PdpMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_partial_dependence_batched(
-    model: &dyn Fn(&xai_linalg::Matrix) -> Vec<f64>,
+/// [`sweep`] with input validation, panic isolation and finite-curve
+/// certification.
+pub(crate) fn try_sweep(
+    model: &dyn Fn(&Matrix) -> Vec<f64>,
     data: &Dataset,
     feature: usize,
     grid: &[f64],
@@ -138,8 +112,8 @@ pub fn try_partial_dependence_batched(
 ) -> XaiResult<PartialDependence> {
     validate::finite_slice("PDP grid", grid)?;
     validate::finite_matrix("PDP dataset", data.x())?;
-    let pd = catch_model("PDP batched model evaluation", || {
-        partial_dependence_batched(model, data, feature, grid, max_rows, keep_ice)
+    let pd = catch_model("PDP model evaluation", || {
+        sweep(model, data, feature, grid, max_rows, keep_ice)
     })?;
     check_curves(&pd)?;
     Ok(pd)
@@ -165,16 +139,14 @@ fn check_curves(pd: &PartialDependence) -> XaiResult<()> {
     Ok(())
 }
 
-/// PDP/ICE through a *batched* model surface: all `rows × grid` probe rows
-/// are materialized as one matrix (row-major in `(instance, grid-point)`
-/// order) and evaluated in a single model call. The accumulation loops run
-/// in the same order as [`partial_dependence`], so the result is
-/// bit-identical to it when the batched model matches the scalar one
-/// row-for-row.
-#[deprecated(note = "superseded by the unified explainer layer: use PdpMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn partial_dependence_batched(
-    model: &dyn Fn(&xai_linalg::Matrix) -> Vec<f64>,
+/// The PDP/ICE sweep through a batch model surface: all `rows × grid`
+/// probe rows are materialized as one matrix (row-major in
+/// `(instance, grid-point)` order) and evaluated in a single call, then
+/// accumulated instance by instance. A scalar model enters through a row
+/// loop, so the batched and scalar sweeps agree bit for bit whenever the
+/// batch surface matches the scalar one row for row.
+pub(crate) fn sweep(
+    model: &dyn Fn(&Matrix) -> Vec<f64>,
     data: &Dataset,
     feature: usize,
     grid: &[f64],
@@ -185,7 +157,7 @@ pub fn partial_dependence_batched(
     assert!(!grid.is_empty());
     let rows = data.n_rows().min(max_rows.max(1));
     let d = data.n_features();
-    let mut probes = xai_linalg::Matrix::zeros(rows * grid.len(), d);
+    let mut probes = Matrix::zeros(rows * grid.len(), d);
     for i in 0..rows {
         for (g, &v) in grid.iter().enumerate() {
             let row = probes.row_mut(i * grid.len() + g);
@@ -210,7 +182,6 @@ pub fn partial_dependence_batched(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use xai_data::synth::friedman1;
@@ -293,7 +264,7 @@ mod tests {
             for feature in [0, 3] {
                 let grid = feature_grid(&data, feature, 7);
                 let scalar = partial_dependence(&f, &data, feature, &grid, 80, keep_ice);
-                let batched = partial_dependence_batched(&bf, &data, feature, &grid, 80, keep_ice);
+                let batched = sweep(&bf, &data, feature, &grid, 80, keep_ice);
                 assert_eq!(scalar.pdp, batched.pdp);
                 assert_eq!(scalar.ice, batched.ice);
                 assert_eq!(scalar.grid, batched.grid);

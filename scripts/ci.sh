@@ -18,65 +18,6 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# The equivalence and oracle suites are part of the workspace run above;
-# invoke them by name too so a filtered or partial run can't skip them.
-echo "==> cargo test -q --test unified_api"
-cargo test -q --test unified_api
-
-echo "==> cargo test -q --test registry_completeness"
-cargo test -q --test registry_completeness
-
-echo "==> cargo test -q --test batch_equivalence"
-cargo test -q --test batch_equivalence
-
-echo "==> cargo test -q --test incremental_equivalence"
-cargo test -q --test incremental_equivalence
-
-echo "==> cargo test -q --test fault_injection"
-cargo test -q --test fault_injection
-
-echo "==> cargo test -q --test serve_api"
-cargo test -q --test serve_api
-
-echo "==> cargo test -q --test serve_concurrency"
-cargo test -q --test serve_concurrency
-
-echo "==> cargo test -q --test serve_golden"
-cargo test -q --test serve_golden
-
-echo "==> cargo test -q --test shard_equivalence"
-cargo test -q --test shard_equivalence
-
-echo "==> cargo test -q --test shard_golden"
-cargo test -q --test shard_golden
-
-echo "==> cargo test -q --test shard_faults"
-cargo test -q --test shard_faults
-
-echo "==> cargo test -q --test transport_equivalence"
-cargo test -q --test transport_equivalence
-
-echo "==> cargo test -q --test transport_faults"
-cargo test -q --test transport_faults
-
-echo "==> cargo test -q --test transport_soak"
-cargo test -q --test transport_soak
-
-echo "==> cargo test -q --test backend_equivalence"
-cargo test -q --test backend_equivalence
-
-echo "==> cargo test -q -p xai-core --test shard_plan"
-cargo test -q -p xai-core --test shard_plan
-
-echo "==> cargo test -q -p xai-linalg --test chol_update"
-cargo test -q -p xai-linalg --test chol_update
-
-echo "==> cargo test -q -p xai-shapley --test golden_oracle"
-cargo test -q -p xai-shapley --test golden_oracle
-
-echo "==> cargo test -q -p xai-models --test properties"
-cargo test -q -p xai-models --test properties
-
 echo "==> cargo bench -p xai-bench --no-run (compile only)"
 cargo bench -p xai-bench --no-run
 
@@ -139,14 +80,6 @@ if [ -n "$VIOLATIONS" ]; then
     echo "ci.sh: route new callers through xai_core::backend::ExecutionBackend" >&2
     exit 1
 fi
-
-# Advisory deprecation audit: the legacy batched/parallel twins are
-# deprecated in favour of the unified explainer layer (DESIGN.md §9).
-# The blessed call sites opt back in with #[allow(deprecated)], so any
-# warning here is a *new* caller reaching for a twin. Advisory only.
-echo "==> cargo check --workspace --all-targets (deprecation audit, warnings only)"
-RUSTFLAGS="-W deprecated" cargo check -q --workspace --all-targets \
-    || echo "ci.sh: deprecation audit reported issues (advisory only)"
 
 # Advisory unwrap/expect audit over the library crates' non-test code.
 # Warnings only, never a gate: the panicking convenience APIs are

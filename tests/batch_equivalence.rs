@@ -1,21 +1,20 @@
 //! Batched-path equivalence harness.
 //!
 //! The batched inference path (`predict_batch` → `BatchPredictionGame` /
-//! `explain_batched` / `partial_dependence_batched`) is a *performance*
-//! feature: it must change wall-clock time and nothing else. This suite
-//! pins that contract for every model family × Monte-Carlo explainer
-//! pair — the batched estimate is **bit-identical** to the scalar one at
-//! the same seed and at every worker count, with and without the
-//! coalition memo cache.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
+//! masked coalition games / `RunConfig::batched` for LIME and PDP) is a
+//! *performance* feature: it must change wall-clock time and nothing
+//! else. This suite pins that contract for every model family ×
+//! Monte-Carlo explainer pair — the batched estimate is
+//! **bit-identical** to the scalar one at the same seed, in the
+//! sequential layout and in the chunk grid `workers > 1` runs at every
+//! worker count, with and without the coalition memo cache.
 
+use xai_core::{ExplainRequest, Explainer, FnOracle, ModelOracle, RunConfig};
 use xai_data::synth::german_credit;
 use xai_data::Dataset;
 use xai_datavalue::{
-    data_banzhaf, data_banzhaf_parallel, tmc_shapley, tmc_shapley_parallel, BanzhafConfig,
-    CachedUtility, FnUtility, TmcConfig,
+    data_banzhaf, tmc_shapley, BanzhafConfig, BanzhafMethod, CachedUtility, FnUtility, TmcConfig,
+    TmcMethod,
 };
 use xai_linalg::Matrix;
 use xai_models::{
@@ -24,13 +23,11 @@ use xai_models::{
     LogisticConfig, LogisticRegression, Mlp, MlpConfig, MlpTask, RandomForest, TreeConfig,
 };
 use xai_shapley::{
-    kernel_shap, kernel_shap_batched, kernel_shap_batched_parallel, kernel_shap_parallel,
-    permutation_shapley, permutation_shapley_batched, permutation_shapley_batched_parallel,
-    permutation_shapley_parallel, BatchPredictionGame, CachedGame, KernelShapConfig,
-    PredictionGame,
+    kernel_shap, permutation_shapley, BatchPredictionGame, CachedGame, KernelShapConfig,
+    KernelShapMethod, PermutationShapleyMethod, PredictionGame,
 };
 use xai_surrogate::{
-    feature_grid, partial_dependence, partial_dependence_batched, LimeConfig, LimeExplainer,
+    feature_grid, partial_dependence, LimeConfig, LimeExplainer, LimeMethod, PdpMethod,
 };
 
 fn credit() -> Dataset {
@@ -42,11 +39,18 @@ fn background(data: &Dataset) -> Matrix {
 }
 
 /// Runs every Shapley Monte-Carlo estimator against one model through the
-/// scalar and the batched game and demands bitwise equality: sequential
-/// and parallel, exact and sampling kernel modes, with and without the
-/// coalition memo cache, across worker counts.
-fn assert_explainers_bit_identical<F, B>(name: &str, f: &F, bf: &B, instance: &[f64], bg: &Matrix)
-where
+/// scalar and the batched game and demands bitwise equality: the
+/// sequential layout over the scalar, materialized and memoized games,
+/// and the chunk grid through the trait at every worker count with
+/// `batched` off and on, in exact and sampling kernel modes.
+fn assert_explainers_bit_identical<F, B>(
+    name: &str,
+    f: &F,
+    bf: &B,
+    model: &dyn ModelOracle,
+    instance: &[f64],
+    bg: &Matrix,
+) where
     F: Fn(&[f64]) -> f64 + Sync,
     B: Fn(&Matrix) -> Vec<f64> + Sync,
 {
@@ -60,62 +64,88 @@ where
         KernelShapConfig { max_coalitions: 48, seed: 3, ..KernelShapConfig::default() },
     ] {
         let a = kernel_shap(&scalar_game, cfg);
-        let b = kernel_shap_batched(&batch_game, cfg);
+        let b = kernel_shap(&batch_game, cfg);
         assert_eq!(a.phi, b.phi, "{name}: batched kernel SHAP diverged");
         assert_eq!(a.base_value, b.base_value, "{name}: base value diverged");
-        let c = kernel_shap_batched(&cached, cfg);
+        let c = kernel_shap(&cached, cfg);
         assert_eq!(a.phi, c.phi, "{name}: cached kernel SHAP diverged");
-        let reference = kernel_shap_parallel(&scalar_game, cfg, 1);
-        for workers in [1, 2, 4] {
-            let p = kernel_shap_batched_parallel(&batch_game, cfg, workers);
-            assert_eq!(
-                reference.phi, p.phi,
-                "{name}: parallel batched kernel SHAP diverged at {workers} workers"
-            );
-        }
+        let method = KernelShapMethod { config: cfg };
+        assert_chunk_grid_bit_identical(name, &method, model, instance, bg);
     }
 
-    // Permutation Shapley, sequential and parallel.
+    // Permutation Shapley, sequential layout and chunk grid.
     let a = permutation_shapley(&scalar_game, 20, 7);
-    let b = permutation_shapley_batched(&batch_game, 20, 7);
+    let b = permutation_shapley(&batch_game, 20, 7);
     assert_eq!(a.phi, b.phi, "{name}: batched permutation Shapley diverged");
     assert_eq!(a.std_err, b.std_err, "{name}: std_err diverged");
-    let c = permutation_shapley_batched(&cached, 20, 7);
+    let c = permutation_shapley(&cached, 20, 7);
     assert_eq!(a.phi, c.phi, "{name}: cached permutation Shapley diverged");
-    let reference = permutation_shapley_parallel(&scalar_game, 24, 7, 1);
-    for workers in [1, 2, 4] {
-        let p = permutation_shapley_batched_parallel(&batch_game, 24, 7, workers);
-        assert_eq!(
-            reference.phi, p.phi,
-            "{name}: parallel batched permutation Shapley diverged at {workers} workers"
-        );
-        assert_eq!(reference.std_err, p.std_err, "{name}: parallel std_err diverged");
-    }
+    assert_chunk_grid_bit_identical(
+        name,
+        &PermutationShapleyMethod { permutations: 24 },
+        model,
+        instance,
+        bg,
+    );
 
     // Every permutation walk revisits ∅ and N, so the memo must have hit.
     let (hits, _) = cached.stats();
     assert!(hits > 0, "{name}: memo cache never hit");
 }
 
-/// LIME and PDP through the batched model surface, bit-identical to the
-/// scalar loops.
-fn assert_surrogates_bit_identical<F, B>(name: &str, f: &F, bf: &B, data: &Dataset)
+/// The chunk grid a `workers > 1` plan runs: identical bytes at every
+/// worker count, over the scalar game and the batched one.
+fn assert_chunk_grid_bit_identical(
+    name: &str,
+    method: &dyn Explainer,
+    model: &dyn ModelOracle,
+    instance: &[f64],
+    bg: &Matrix,
+) {
+    let data = credit();
+    let run = |workers: usize, batched: bool| {
+        let plan = RunConfig::seeded(7).with_workers(workers).with_batched(batched);
+        let req = ExplainRequest::new(&data).instance(instance).background(bg).plan(plan);
+        method.explain(model, &req).unwrap().to_json_string()
+    };
+    let reference = run(2, false);
+    for workers in [2, 4] {
+        for batched in [false, true] {
+            assert_eq!(
+                reference,
+                run(workers, batched),
+                "{name}: {} chunk grid diverged at workers={workers} batched={batched}",
+                method.card().name
+            );
+        }
+    }
+}
+
+/// LIME and PDP through the model's batch surface (`batched: true`),
+/// bit-identical to the scalar reference loops.
+fn assert_surrogates_bit_identical<F>(name: &str, f: &F, model: &dyn ModelOracle, data: &Dataset)
 where
     F: Fn(&[f64]) -> f64,
-    B: Fn(&Matrix) -> Vec<f64>,
 {
     let lime = LimeExplainer::fit(data);
     let cfg = LimeConfig { n_samples: 120, ..LimeConfig::default() };
     let a = lime.explain(f, data.row(4), cfg, 13);
-    let b = lime.explain_batched(bf, data.row(4), cfg, 13);
-    assert_eq!(a.attribution.values, b.attribution.values, "{name}: batched LIME diverged");
-    assert_eq!(a.attribution.prediction, b.attribution.prediction, "{name}: LIME prediction");
-    assert_eq!(a.local_fidelity, b.local_fidelity, "{name}: LIME fidelity diverged");
+    let req = ExplainRequest::new(data)
+        .instance(data.row(4))
+        .plan(RunConfig::seeded(13).with_batched(true));
+    let b = LimeMethod { config: cfg }.explain(model, &req).unwrap();
+    let b = b.as_attribution().unwrap();
+    assert_eq!(a.attribution.values, b.values, "{name}: batched LIME diverged");
+    assert_eq!(a.attribution.baseline, b.baseline, "{name}: LIME intercept diverged");
+    assert_eq!(a.attribution.prediction, b.prediction, "{name}: LIME prediction");
 
     let grid = feature_grid(data, 1, 5);
     let pa = partial_dependence(f, data, 1, &grid, 40, true);
-    let pb = partial_dependence_batched(bf, data, 1, &grid, 40, true);
-    assert_eq!(pa.pdp, pb.pdp, "{name}: batched PDP diverged");
+    let req = ExplainRequest::new(data).feature(1).plan(RunConfig::seeded(0).with_batched(true));
+    let pb = PdpMethod { points: 5, max_rows: 40, keep_ice: true }.explain(model, &req).unwrap();
+    let pb = pb.as_curve().unwrap();
+    assert_eq!(pa.grid, pb.grid, "{name}: PDP grid diverged");
+    assert_eq!(pa.pdp, pb.values, "{name}: batched PDP diverged");
     assert_eq!(pa.ice, pb.ice, "{name}: batched ICE diverged");
 }
 
@@ -128,14 +158,14 @@ fn linear_and_logistic_batched_explainers_are_bit_identical() {
     let linear = LinearRegression::fit(data.x(), data.y(), LinearConfig::default()).unwrap();
     let f = regress_fn(&linear);
     let bf = batch_regress_fn(&linear);
-    assert_explainers_bit_identical("linear", &f, &bf, instance, &bg);
-    assert_surrogates_bit_identical("linear", &f, &bf, &data);
+    assert_explainers_bit_identical("linear", &f, &bf, &linear, instance, &bg);
+    assert_surrogates_bit_identical("linear", &f, &linear, &data);
 
     let logistic = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
     let f = proba_fn(&logistic);
     let bf = batch_proba_fn(&logistic);
-    assert_explainers_bit_identical("logistic", &f, &bf, instance, &bg);
-    assert_surrogates_bit_identical("logistic", &f, &bf, &data);
+    assert_explainers_bit_identical("logistic", &f, &bf, &logistic, instance, &bg);
+    assert_surrogates_bit_identical("logistic", &f, &logistic, &data);
 }
 
 #[test]
@@ -147,14 +177,14 @@ fn tree_ensemble_batched_explainers_are_bit_identical() {
     let tree = DecisionTree::fit(data.x(), data.y(), TreeConfig { max_depth: 5, ..Default::default() });
     let f = proba_fn(&tree);
     let bf = batch_proba_fn(&tree);
-    assert_explainers_bit_identical("tree", &f, &bf, instance, &bg);
+    assert_explainers_bit_identical("tree", &f, &bf, &tree, instance, &bg);
 
     let forest =
         RandomForest::fit(data.x(), data.y(), ForestConfig { n_trees: 8, seed: 2, ..Default::default() });
     let f = proba_fn(&forest);
     let bf = batch_proba_fn(&forest);
-    assert_explainers_bit_identical("forest", &f, &bf, instance, &bg);
-    assert_surrogates_bit_identical("forest", &f, &bf, &data);
+    assert_explainers_bit_identical("forest", &f, &bf, &forest, instance, &bg);
+    assert_surrogates_bit_identical("forest", &f, &forest, &data);
 
     let gbdt = Gbdt::fit(
         data.x(),
@@ -163,7 +193,7 @@ fn tree_ensemble_batched_explainers_are_bit_identical() {
     );
     let f = proba_fn(&gbdt);
     let bf = batch_proba_fn(&gbdt);
-    assert_explainers_bit_identical("gbdt", &f, &bf, instance, &bg);
+    assert_explainers_bit_identical("gbdt", &f, &bf, &gbdt, instance, &bg);
 }
 
 #[test]
@@ -175,12 +205,12 @@ fn knn_naive_bayes_and_mlp_batched_explainers_are_bit_identical() {
     let knn = Knn::fit(data.x(), data.y(), 3);
     let f = proba_fn(&knn);
     let bf = batch_proba_fn(&knn);
-    assert_explainers_bit_identical("knn", &f, &bf, instance, &bg);
+    assert_explainers_bit_identical("knn", &f, &bf, &knn, instance, &bg);
 
     let nb = GaussianNb::fit(data.x(), data.y());
     let f = proba_fn(&nb);
     let bf = batch_proba_fn(&nb);
-    assert_explainers_bit_identical("naive_bayes", &f, &bf, instance, &bg);
+    assert_explainers_bit_identical("naive_bayes", &f, &bf, &nb, instance, &bg);
 
     let mlp = Mlp::fit(
         data.x(),
@@ -189,8 +219,8 @@ fn knn_naive_bayes_and_mlp_batched_explainers_are_bit_identical() {
     );
     let f = proba_fn(&mlp);
     let bf = batch_proba_fn(&mlp);
-    assert_explainers_bit_identical("mlp", &f, &bf, instance, &bg);
-    assert_surrogates_bit_identical("mlp", &f, &bf, &data);
+    assert_explainers_bit_identical("mlp", &f, &bf, &mlp, instance, &bg);
+    assert_surrogates_bit_identical("mlp", &f, &mlp, &data);
 }
 
 #[test]
@@ -202,7 +232,8 @@ fn scalar_fallback_adapter_is_equivalent_to_the_scalar_path() {
     let instance = data.row(3);
     let f = |x: &[f64]| (x[0] * 0.01 - x[3] * 0.0002).tanh() + x[6] * 0.1;
     let bf = batch_from_scalar(f);
-    assert_explainers_bit_identical("closure", &f, &bf, instance, &bg);
+    let oracle = FnOracle::new(data.n_features(), f);
+    assert_explainers_bit_identical("closure", &f, &bf, &oracle, instance, &bg);
 }
 
 #[test]
@@ -230,12 +261,17 @@ fn cached_utility_preserves_tmc_and_banzhaf_bits() {
     let memo_bz = data_banzhaf(&cached, bz_cfg);
     assert_eq!(plain_bz.values, memo_bz.values, "Banzhaf diverged under memo");
 
-    // Parallel estimators accept the cached wrapper too (Mutex ⇒ Sync) and
-    // stay worker-invariant.
-    let p1 = tmc_shapley_parallel(&cached, tmc_cfg, 1);
-    let p4 = tmc_shapley_parallel(&cached, tmc_cfg, 4);
-    assert_eq!(p1.values, p4.values, "parallel TMC not worker-invariant under memo");
-    let b1 = data_banzhaf_parallel(&cached, bz_cfg, 1);
-    let b4 = data_banzhaf_parallel(&cached, bz_cfg, 4);
-    assert_eq!(b1.values, b4.values, "parallel Banzhaf not worker-invariant under memo");
+    // The chunk grid accepts the cached wrapper too (Mutex ⇒ Sync) and
+    // stays worker-invariant.
+    let data = credit();
+    let oracle = FnOracle::new(data.n_features(), |_: &[f64]| 0.0);
+    let chunked = |method: &dyn Explainer, workers: usize| {
+        let plan = RunConfig::seeded(5).with_workers(workers);
+        let req = ExplainRequest::new(&data).utility(&cached).plan(plan);
+        method.explain(&oracle, &req).unwrap().as_valuation().unwrap().values.clone()
+    };
+    let tmc = TmcMethod { config: tmc_cfg };
+    assert_eq!(chunked(&tmc, 2), chunked(&tmc, 4), "chunked TMC not worker-invariant under memo");
+    let bz = BanzhafMethod { config: bz_cfg };
+    assert_eq!(chunked(&bz, 2), chunked(&bz, 4), "chunked Banzhaf not worker-invariant under memo");
 }

@@ -2,25 +2,31 @@
 //!
 //! Every sampling-based explainer in the workspace must be a pure function
 //! of its seed: run twice with the same seed, it produces bit-identical
-//! output. The parallel estimators carry a stronger guarantee — their
+//! output. Plans with `workers > 1` carry a stronger guarantee — their
 //! output is also independent of the worker count, because work is split
 //! into a fixed chunk grid with `child_seed`-derived streams and reduced
-//! in chunk order (see `xai_rand::parallel`).
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
+//! in chunk order (see `xai_rand::parallel` and `xai_core::shard`).
 
-use xai_counterfactual::{geco, geco_parallel, DiceConfig, DiceExplainer, GecoConfig, Plaf};
+use xai_core::{ExplainRequest, Explainer, FnOracle, RunConfig, XaiResult};
+use xai_counterfactual::{geco, DiceConfig, DiceMethod, GecoConfig, GecoMethod, Plaf};
 use xai_data::synth::german_credit;
 use xai_datavalue::{
-    data_banzhaf, data_banzhaf_parallel, tmc_shapley, tmc_shapley_parallel, BanzhafConfig,
-    FnUtility, TmcConfig,
+    data_banzhaf, tmc_shapley, BanzhafConfig, BanzhafMethod, FnUtility, TmcConfig, TmcMethod,
 };
 use xai_models::{proba_fn, LogisticConfig, LogisticRegression};
 use xai_shapley::{
-    kernel_shap, kernel_shap_parallel, permutation_shapley, permutation_shapley_parallel,
-    KernelShapConfig, PredictionGame, TableGame,
+    kernel_shap, permutation_shapley, KernelShapConfig, KernelShapMethod,
+    PermutationShapleyMethod, PredictionGame, TableGame,
 };
+
+/// The outcome of one explain as comparable text: the canonical bytes,
+/// or the error.
+fn outcome(result: XaiResult<xai_core::Explanation>) -> String {
+    match result {
+        Ok(e) => e.to_json_string(),
+        Err(e) => format!("error: {e}"),
+    }
+}
 
 fn model_game() -> (xai_data::Dataset, LogisticRegression) {
     let data = german_credit(150, 5);
@@ -44,25 +50,25 @@ fn permutation_shapley_is_seed_stable() {
 #[test]
 fn parallel_shapley_estimators_are_worker_count_invariant() {
     let (data, model) = model_game();
-    let f = proba_fn(&model);
     let background = xai_linalg::Matrix::from_fn(8, data.n_features(), |i, j| data.x()[(i, j)]);
     let instance: Vec<f64> = data.row(11).to_vec();
-    let game = PredictionGame::new(&f, &instance, &background);
+    let run = |method: &dyn Explainer, workers: usize| {
+        let req = ExplainRequest::new(&data)
+            .instance(&instance)
+            .background(&background)
+            .plan(RunConfig::seeded(5).with_workers(workers));
+        outcome(method.explain(&model, &req))
+    };
 
-    let p1 = permutation_shapley_parallel(&game, 80, 5, 1);
-    let p4 = permutation_shapley_parallel(&game, 80, 5, 4);
-    assert_eq!(p1.phi, p4.phi, "permutation sampling must not depend on workers");
-    assert_eq!(p1.std_err, p4.std_err);
+    let perms = PermutationShapleyMethod { permutations: 80 };
+    assert_eq!(run(&perms, 2), run(&perms, 4), "permutation sampling must not depend on workers");
 
-    let big = TableGame::new(
-        12,
-        (0..1usize << 12).map(|m| (m.count_ones() as f64).sqrt()).collect(),
-    );
-    let cfg = KernelShapConfig { max_coalitions: 256, ..Default::default() };
-    let k1 = kernel_shap_parallel(&big, cfg, 1);
-    let k4 = kernel_shap_parallel(&big, cfg, 4);
-    assert!(!k1.exact, "budget forces sampling mode");
-    assert_eq!(k1.phi, k4.phi, "kernel SHAP sampling must not depend on workers");
+    // 2^9 − 2 proper coalitions exceed the budget: sampling mode.
+    assert!((1usize << data.n_features()) - 2 > 256);
+    let kernel = KernelShapMethod {
+        config: KernelShapConfig { max_coalitions: 256, ..Default::default() },
+    };
+    assert_eq!(run(&kernel, 2), run(&kernel, 4), "kernel SHAP sampling must not depend on workers");
 }
 
 #[test]
@@ -96,15 +102,23 @@ fn data_shapley_and_banzhaf_are_seed_stable() {
 #[test]
 fn parallel_valuation_is_worker_count_invariant() {
     let u = utility();
-    let cfg = TmcConfig { permutations: 48, truncation_tolerance: 0.0, seed: 17 };
-    let t1 = tmc_shapley_parallel(&u, cfg, 1);
-    let t4 = tmc_shapley_parallel(&u, cfg, 4);
-    assert_eq!(t1.values, t4.values, "TMC Shapley must not depend on workers");
+    let data = german_credit(9, 17);
+    let oracle = FnOracle::new(data.n_features(), |_: &[f64]| 0.0);
+    // The measure string names the worker count; the values must not
+    // depend on it.
+    let run = |method: &dyn Explainer, workers: usize| {
+        let req = ExplainRequest::new(&data)
+            .utility(&u)
+            .plan(RunConfig::seeded(17).with_workers(workers));
+        method.explain(&oracle, &req).unwrap().as_valuation().unwrap().values.clone()
+    };
+    let tmc = TmcMethod {
+        config: TmcConfig { permutations: 48, truncation_tolerance: 0.0, seed: 17 },
+    };
+    assert_eq!(run(&tmc, 2), run(&tmc, 4), "TMC Shapley must not depend on workers");
 
-    let bcfg = BanzhafConfig { samples_per_point: 40, seed: 17 };
-    let b1 = data_banzhaf_parallel(&u, bcfg, 1);
-    let b4 = data_banzhaf_parallel(&u, bcfg, 4);
-    assert_eq!(b1.values, b4.values, "Banzhaf must not depend on workers");
+    let banzhaf = BanzhafMethod { config: BanzhafConfig { samples_per_point: 40, seed: 17 } };
+    assert_eq!(run(&banzhaf, 2), run(&banzhaf, 4), "Banzhaf must not depend on workers");
 }
 
 #[test]
@@ -124,30 +138,30 @@ fn geco_is_seed_stable_and_parallel_geco_worker_invariant() {
         "same seed, same counterfactual"
     );
 
-    let p1 = geco_parallel(&f, &data, instance, &plaf, config, 31, 3, 1);
-    let p4 = geco_parallel(&f, &data, instance, &plaf, config, 31, 3, 4);
-    assert_eq!(
-        p1.map(|c| c.counterfactual),
-        p4.map(|c| c.counterfactual),
-        "multi-start GeCo must not depend on workers"
-    );
+    let multi_start = GecoMethod { config, starts: 3 };
+    let run = |workers: usize| {
+        let req = ExplainRequest::new(&data)
+            .instance(instance)
+            .plan(RunConfig::seeded(31).with_workers(workers));
+        outcome(multi_start.explain(&model, &req))
+    };
+    assert_eq!(run(2), run(4), "multi-start GeCo must not depend on workers");
 }
 
 #[test]
 fn dice_parallel_restarts_are_worker_count_invariant() {
     let data = german_credit(200, 29);
     let model = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
-    let f = proba_fn(&model);
-    let dice = DiceExplainer::fit(&data);
-    let config = DiceConfig { k: 2, iterations: 60, restarts: 3, ..DiceConfig::default() };
-
-    let w1 = dice.generate_parallel(&f, data.row(5), config, 41, 1);
-    let w4 = dice.generate_parallel(&f, data.row(5), config, 41, 4);
-    let rows = |cfs: &[xai_core::Counterfactual]| -> Vec<Vec<f64>> {
-        cfs.iter().map(|c| c.counterfactual.clone()).collect()
+    let dice = DiceMethod {
+        config: DiceConfig { k: 2, iterations: 60, restarts: 3, ..DiceConfig::default() },
     };
-    assert_eq!(rows(&w1), rows(&w4), "DiCE restarts must not depend on workers");
-
-    let again = dice.generate_parallel(&f, data.row(5), config, 41, 4);
-    assert_eq!(rows(&w4), rows(&again), "same seed, same counterfactual set");
+    let run = |workers: usize| {
+        let req = ExplainRequest::new(&data)
+            .instance(data.row(5))
+            .plan(RunConfig::seeded(41).with_workers(workers));
+        outcome(dice.explain(&model, &req))
+    };
+    let w4 = run(4);
+    assert_eq!(run(2), w4, "DiCE candidates must not depend on workers");
+    assert_eq!(run(4), w4, "same seed, same counterfactual set");
 }

@@ -5,42 +5,39 @@
 //! outputs after the k-th call, a panic on a chosen evaluation, constant
 //! predictions, degenerate inputs — and proves that the `try_*` twin of
 //! each entry point returns the *right* [`XaiError`] variant (or an `Ok`
-//! result flagged `degraded`) instead of panicking or leaking NaN. The
-//! final section pins the determinism contract: on fault-free inputs the
-//! `try_*` parallel paths are bit-identical to their panicking twins for
-//! every worker count.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
+//! result flagged `degraded`) instead of panicking or leaking NaN. Plans
+//! with `workers > 1` run through `Explainer::explain`, where a panic in
+//! a chunk is a [`XaiError::WorkerPanic`] and a NaN keeps its
+//! [`XaiError::ModelFault`] identity. The final section pins the
+//! determinism contract: on fault-free inputs the chunk grid is
+//! bit-identical for every worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xai::core::{SampleBudget, XaiError};
+use xai::core::{
+    ExplainRequest, Explainer, Explanation, FnOracle, ModelOracle, RunConfig, SampleBudget,
+    XaiError, XaiResult,
+};
 use xai::counterfactual::wachter::GradientModel;
 use xai::counterfactual::{
-    try_geco, try_geco_parallel, try_wachter_counterfactual, DiceConfig, DiceExplainer,
-    GecoConfig, Plaf, WachterConfig,
+    try_geco, try_wachter_counterfactual, DiceConfig, DiceExplainer, DiceMethod, GecoConfig,
+    GecoMethod, Plaf, WachterConfig,
 };
 use xai::data::synth::linear_gaussian;
 use xai::data::Dataset;
 use xai::datavalue::{
-    data_banzhaf_parallel, leave_one_out_parallel, tmc_shapley_parallel, try_data_banzhaf,
-    try_data_banzhaf_parallel, try_leave_one_out, try_leave_one_out_parallel, try_tmc_shapley,
-    try_tmc_shapley_budgeted, try_tmc_shapley_parallel, BanzhafConfig, FnUtility, TmcConfig,
+    try_data_banzhaf, try_leave_one_out, try_tmc_shapley, try_tmc_shapley_budgeted,
+    BanzhafConfig, BanzhafMethod, FnUtility, LooMethod, TmcConfig, TmcMethod,
 };
 use xai::linalg::Matrix;
 use xai::models::{LogisticConfig, LogisticRegression, Mlp, MlpConfig};
 use xai::shapley::{
-    kernel_shap, kernel_shap_parallel, permutation_shapley, permutation_shapley_parallel,
-    try_antithetic_permutation_shapley, try_kernel_shap, try_kernel_shap_attribution,
-    try_kernel_shap_batched, try_kernel_shap_batched_parallel, try_kernel_shap_parallel,
-    try_permutation_shapley, try_permutation_shapley_batched,
-    try_permutation_shapley_batched_parallel, try_permutation_shapley_budgeted,
-    try_permutation_shapley_parallel, BatchGame, CooperativeGame, KernelShapConfig,
+    kernel_shap, permutation_shapley, try_antithetic_permutation_shapley, try_kernel_shap,
+    try_kernel_shap_attribution, try_permutation_shapley, try_permutation_shapley_budgeted,
+    BatchGame, CooperativeGame, KernelShapConfig, KernelShapMethod, PermutationShapleyMethod,
 };
 use xai::surrogate::{
-    partial_dependence, try_partial_dependence, try_partial_dependence_batched, LimeConfig,
-    LimeExplainer,
+    partial_dependence, try_partial_dependence, LimeConfig, LimeExplainer, LimeMethod, PdpMethod,
 };
 use xai_rand::parallel::{par_map_seeded, try_par_map_seeded};
 
@@ -102,6 +99,55 @@ impl CooperativeGame for FaultyGame {
 }
 
 impl BatchGame for FaultyGame {}
+
+/// A [`FaultyGame`] as a model oracle: over an all-ones instance and a
+/// single all-zeros background row, the probe row `x` is the coalition
+/// `x[i] != 0`, so the prediction game's values are exactly the game's
+/// (same fault schedule, same call counter).
+struct FaultyOracle(FaultyGame);
+
+impl ModelOracle for FaultyOracle {
+    fn n_features(&self) -> usize {
+        self.0.n
+    }
+    fn predict(&self, x: &[f64]) -> f64 {
+        let coalition: Vec<bool> = x.iter().map(|&v| v != 0.0).collect();
+        self.0.value(&coalition)
+    }
+}
+
+/// Runs a Shapley method over the faulty game through the trait.
+fn explain_game(
+    method: &dyn Explainer,
+    n: usize,
+    fault: Fault,
+    workers: usize,
+    batched: bool,
+) -> XaiResult<Explanation> {
+    let data = fixture_data();
+    let instance = vec![1.0; n];
+    let background = Matrix::zeros(1, n);
+    let req = ExplainRequest::new(&data)
+        .instance(&instance)
+        .background(&background)
+        .plan(RunConfig::seeded(0).with_workers(workers).with_batched(batched));
+    method.explain(&FaultyOracle(FaultyGame::new(n, fault)), &req)
+}
+
+/// An oracle whose batch surface is `batch` (scalar predictions unused).
+struct BatchOracle<B>(usize, B);
+
+impl<B: Fn(&Matrix) -> Vec<f64> + Sync> ModelOracle for BatchOracle<B> {
+    fn n_features(&self) -> usize {
+        self.0
+    }
+    fn predict(&self, x: &[f64]) -> f64 {
+        clean_model(x)
+    }
+    fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
+        (self.1)(rows)
+    }
+}
 
 /// A small two-feature dataset shared by the model-level fixtures.
 fn fixture_data() -> Dataset {
@@ -176,31 +222,34 @@ fn kernel_shap_panicking_game_is_caught_sequentially() {
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
     assert!(err.to_string().contains("injected game fault"), "{err}");
 
-    let game = FaultyGame::new(4, Fault::PanicAt(5));
-    let err = try_kernel_shap_batched(&game, KernelShapConfig::default()).unwrap_err();
-    assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
+    // The same panic through the trait's sequential layout, either game.
+    for batched in [false, true] {
+        let err = explain_game(&KernelShapMethod::default(), 4, Fault::PanicAt(5), 1, batched)
+            .unwrap_err();
+        assert!(matches!(err, XaiError::ModelFault { .. }), "batched={batched}: {err}");
+    }
 }
 
 #[test]
 fn parallel_kernel_shap_panic_is_a_worker_panic() {
-    for workers in [1, 2, 4] {
-        let game = FaultyGame::new(5, Fault::PanicAt(7));
-        let err =
-            try_kernel_shap_parallel(&game, KernelShapConfig::default(), workers).unwrap_err();
-        assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
-
-        let game = FaultyGame::new(5, Fault::PanicAt(7));
-        let err = try_kernel_shap_batched_parallel(&game, KernelShapConfig::default(), workers)
-            .unwrap_err();
-        assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
+    for workers in [2, 4] {
+        for batched in [false, true] {
+            let err =
+                explain_game(&KernelShapMethod::default(), 5, Fault::PanicAt(7), workers, batched)
+                    .unwrap_err();
+            assert!(
+                matches!(err, XaiError::WorkerPanic { .. }),
+                "workers={workers} batched={batched}: {err}"
+            );
+        }
     }
 }
 
 #[test]
 fn parallel_kernel_shap_nan_is_a_model_fault_not_a_worker_panic() {
     // NaN values inside worker chunks must keep their ModelFault identity.
-    let game = FaultyGame::new(5, Fault::NanAfter(9));
-    let err = try_kernel_shap_parallel(&game, KernelShapConfig::default(), 3).unwrap_err();
+    let err =
+        explain_game(&KernelShapMethod::default(), 5, Fault::NanAfter(9), 3, false).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 }
 
@@ -281,8 +330,8 @@ fn permutation_shapley_nan_game_is_a_model_fault() {
     let err = try_permutation_shapley(&game, 8, 0).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
-    let game = FaultyGame::new(4, Fault::NanAfter(3));
-    let err = try_permutation_shapley_batched(&game, 8, 0).unwrap_err();
+    let method = PermutationShapleyMethod { permutations: 8 };
+    let err = explain_game(&method, 4, Fault::NanAfter(3), 1, true).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     let game = FaultyGame::new(4, Fault::NanAfter(3));
@@ -299,17 +348,15 @@ fn permutation_shapley_panicking_game_is_caught_sequentially() {
 
 #[test]
 fn parallel_permutation_shapley_separates_panics_from_nan() {
-    for workers in [1, 2, 4] {
-        let game = FaultyGame::new(4, Fault::PanicAt(6));
-        let err = try_permutation_shapley_parallel(&game, 16, 0, workers).unwrap_err();
+    let method = PermutationShapleyMethod { permutations: 16 };
+    for workers in [2, 4] {
+        let err = explain_game(&method, 4, Fault::PanicAt(6), workers, false).unwrap_err();
         assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
 
-        let game = FaultyGame::new(4, Fault::NanAfter(6));
-        let err = try_permutation_shapley_parallel(&game, 16, 0, workers).unwrap_err();
+        let err = explain_game(&method, 4, Fault::NanAfter(6), workers, false).unwrap_err();
         assert!(matches!(err, XaiError::ModelFault { .. }), "workers={workers}: {err}");
 
-        let game = FaultyGame::new(4, Fault::PanicAt(6));
-        let err = try_permutation_shapley_batched_parallel(&game, 16, 0, workers).unwrap_err();
+        let err = explain_game(&method, 4, Fault::PanicAt(6), workers, true).unwrap_err();
         assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
     }
 }
@@ -375,9 +422,11 @@ fn lime_model_faults_are_typed() {
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     // A batched model returning the wrong arity is also a model fault.
-    let short_model = |_m: &Matrix| vec![0.5; 3];
-    let err =
-        explainer.try_explain_batched(&short_model, instance, LimeConfig::default(), 0).unwrap_err();
+    let short_model = BatchOracle(2, |_m: &Matrix| vec![0.5; 3]);
+    let req = ExplainRequest::new(&data)
+        .instance(instance)
+        .plan(RunConfig::seeded(0).with_batched(true));
+    let err = LimeMethod::default().explain(&short_model, &req).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 }
 
@@ -423,9 +472,12 @@ fn pdp_validates_inputs_and_types_model_faults() {
     let err = try_partial_dependence(&nan_model, &data, 0, &[0.0, 1.0], 40, false).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
-    let panic_model = |_m: &Matrix| -> Vec<f64> { panic!("injected PDP model fault") };
-    let err =
-        try_partial_dependence_batched(&panic_model, &data, 0, &[0.0, 1.0], 40, true).unwrap_err();
+    let panic_model =
+        BatchOracle(2, |_m: &Matrix| -> Vec<f64> { panic!("injected PDP model fault") });
+    let req = ExplainRequest::new(&data).feature(0).plan(RunConfig::seeded(0).with_batched(true));
+    let err = PdpMethod { points: 2, max_rows: 40, keep_ice: true }
+        .explain(&panic_model, &req)
+        .unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     // Clean twin agreement.
@@ -481,9 +533,13 @@ fn geco_certifies_its_search() {
     let err = try_geco(&panicky, &data, instance, &plaf, config, 0).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
-    // In the multi-start parallel driver the same panic is a worker panic.
-    let panicky = |_x: &[f64]| -> f64 { panic!("injected GeCo model fault") };
-    let err = try_geco_parallel(&panicky, &data, instance, &plaf, config, 0, 4, 2).unwrap_err();
+    // In the multi-start search (`workers > 1`) the same panic is a
+    // worker panic.
+    let panicky = FnOracle::new(2, |_x: &[f64]| -> f64 { panic!("injected GeCo model fault") });
+    let req = ExplainRequest::new(&data)
+        .instance(instance)
+        .plan(RunConfig::seeded(0).with_workers(2));
+    let err = GecoMethod { config, starts: 4 }.explain(&panicky, &req).unwrap_err();
     assert!(matches!(err, XaiError::WorkerPanic { .. }), "{err}");
 
     let err = try_geco(&stuck, &data, &[f64::NAN, 0.0], &plaf, config, 0).unwrap_err();
@@ -509,13 +565,31 @@ fn dice_certifies_its_search() {
     let cfs = explainer.try_generate(&model, instance, config, 0).unwrap();
     assert!(!cfs.is_empty());
     assert!(cfs.iter().all(|c| c.counterfactual.iter().all(|v| v.is_finite())));
-    let par = explainer.try_generate_parallel(&model, instance, config, 0, 2).unwrap();
-    assert!(!par.is_empty());
+    let oracle = FnOracle::new(2, |x: &[f64]| clean_model(x));
+    let req = ExplainRequest::new(&data)
+        .instance(instance)
+        .plan(RunConfig::seeded(0).with_workers(2));
+    let pooled = DiceMethod { config }.explain(&oracle, &req).unwrap();
+    assert!(!pooled.as_counterfactuals().unwrap().is_empty());
 }
 
 // ---------------------------------------------------------------------------
 // Data valuation
 // ---------------------------------------------------------------------------
+
+/// Runs a valuation method on `utility` through the trait.
+fn explain_valuation(
+    method: &dyn Explainer,
+    utility: &(dyn xai::core::Utility + Sync),
+    workers: usize,
+) -> XaiResult<Explanation> {
+    let data = fixture_data();
+    let oracle = FnOracle::new(2, |x: &[f64]| clean_model(x));
+    let req = ExplainRequest::new(&data)
+        .utility(utility)
+        .plan(RunConfig::seeded(5).with_workers(workers));
+    method.explain(&oracle, &req)
+}
 
 #[test]
 fn loo_typed_errors_and_parallel_bit_identity() {
@@ -528,7 +602,7 @@ fn loo_typed_errors_and_parallel_bit_identity() {
     });
     let err = try_leave_one_out(&nan_u).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
-    let err = try_leave_one_out_parallel(&nan_u, 2).unwrap_err();
+    let err = explain_valuation(&LooMethod, &nan_u, 2).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     let panic_u = FnUtility::new(6, |s: &[usize]| {
@@ -539,17 +613,19 @@ fn loo_typed_errors_and_parallel_bit_identity() {
     });
     let err = try_leave_one_out(&panic_u).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
-    let err = try_leave_one_out_parallel(&panic_u, 2).unwrap_err();
+    let err = explain_valuation(&LooMethod, &panic_u, 2).unwrap_err();
     assert!(matches!(err, XaiError::WorkerPanic { .. }), "{err}");
 
-    // Fault-free: the try twin is bit-identical across worker counts.
+    // Fault-free: the chunk grid is bit-identical to the sequential sweep
+    // at every worker count.
     let u = FnUtility::new(20, |s: &[usize]| {
         s.iter().map(|&i| ((i * i) as f64).sqrt()).sum::<f64>().sin()
     });
-    let plain = leave_one_out_parallel(&u, 1);
+    let plain = try_leave_one_out(&u).unwrap();
     for workers in [1, 2, 4] {
-        let tried = try_leave_one_out_parallel(&u, workers).unwrap();
-        assert_eq!(plain.values, tried.values, "workers={workers} diverged");
+        let tried = explain_valuation(&LooMethod, &u, workers).unwrap();
+        let tried = &tried.as_valuation().unwrap().values;
+        assert_eq!(&plain.values, tried, "workers={workers} diverged");
     }
 }
 
@@ -608,7 +684,8 @@ fn parallel_valuation_separates_panics_from_nan_and_stays_deterministic() {
         }
         s.len() as f64
     });
-    let err = try_tmc_shapley_parallel(&panic_u, config, 2).unwrap_err();
+    let tmc = TmcMethod { config };
+    let err = explain_valuation(&tmc, &panic_u, 2).unwrap_err();
     assert!(matches!(err, XaiError::WorkerPanic { .. }), "{err}");
 
     let nan_u = FnUtility::new(6, |s: &[usize]| {
@@ -618,27 +695,29 @@ fn parallel_valuation_separates_panics_from_nan_and_stays_deterministic() {
             s.len() as f64
         }
     });
-    let err = try_tmc_shapley_parallel(&nan_u, config, 2).unwrap_err();
+    let err = explain_valuation(&tmc, &nan_u, 2).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     let bz = BanzhafConfig { samples_per_point: 40, seed: 3 };
     let err = try_data_banzhaf(&nan_u, bz).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
-    let err = try_data_banzhaf_parallel(&panic_u, bz, 2).unwrap_err();
+    let banzhaf = BanzhafMethod { config: bz };
+    let err = explain_valuation(&banzhaf, &panic_u, 2).unwrap_err();
     assert!(matches!(err, XaiError::WorkerPanic { .. }), "{err}");
 
-    // Fault-free parallel twins are bit-identical across worker counts.
+    // Fault-free chunk grids are bit-identical across worker counts.
     let u = FnUtility::new(8, |s: &[usize]| {
         s.iter().map(|&i| (i + 1) as f64 * 0.1).sum::<f64>()
             + f64::from(s.contains(&1) && s.contains(&6)) * 0.4
     });
-    let plain_tmc = tmc_shapley_parallel(&u, config, 1);
-    let plain_bz = data_banzhaf_parallel(&u, bz, 1);
-    for workers in [1, 2, 4] {
-        let tried = try_tmc_shapley_parallel(&u, config, workers).unwrap();
-        assert_eq!(plain_tmc.values, tried.values, "TMC workers={workers} diverged");
-        let tried = try_data_banzhaf_parallel(&u, bz, workers).unwrap();
-        assert_eq!(plain_bz.values, tried.values, "Banzhaf workers={workers} diverged");
+    let values = |method: &dyn Explainer, workers: usize| {
+        explain_valuation(method, &u, workers).unwrap().as_valuation().unwrap().values.clone()
+    };
+    let plain_tmc = values(&tmc, 2);
+    let plain_bz = values(&banzhaf, 2);
+    for workers in [2, 4] {
+        assert_eq!(plain_tmc, values(&tmc, workers), "TMC workers={workers} diverged");
+        assert_eq!(plain_bz, values(&banzhaf, workers), "Banzhaf workers={workers} diverged");
     }
 }
 
@@ -731,22 +810,20 @@ fn lowest_indexed_panicking_task_wins_regardless_of_workers() {
 #[test]
 fn fault_free_parallel_explainers_are_worker_invariant() {
     // The acceptance bar for the whole error layer: on clean inputs the
-    // try twins reproduce the plain parallel paths bit-for-bit at every
-    // worker count.
-    let config = KernelShapConfig::default();
-    let ks_ref = kernel_shap_parallel(&FaultyGame::new(6, Fault::Clean), config, 1);
-    let ps_ref = permutation_shapley_parallel(&FaultyGame::new(6, Fault::Clean), 32, 9, 1);
-    for workers in [1, 2, 4] {
-        let ks = try_kernel_shap_parallel(&FaultyGame::new(6, Fault::Clean), config, workers)
-            .unwrap();
-        assert_eq!(ks_ref.phi, ks.phi, "kernel workers={workers} diverged");
-        let ps = try_permutation_shapley_parallel(
-            &FaultyGame::new(6, Fault::Clean),
-            32,
-            9,
-            workers,
-        )
-        .unwrap();
-        assert_eq!(ps_ref.phi, ps.phi, "permutation workers={workers} diverged");
+    // chunk grid reproduces itself bit-for-bit at every worker count and
+    // over either game.
+    let kernel = KernelShapMethod::default();
+    let perms = PermutationShapleyMethod { permutations: 32 };
+    let run = |method: &dyn Explainer, workers: usize, batched: bool| {
+        explain_game(method, 6, Fault::Clean, workers, batched).unwrap().to_json_string()
+    };
+    let ks_ref = run(&kernel, 2, false);
+    let ps_ref = run(&perms, 2, false);
+    for workers in [2, 4] {
+        for batched in [false, true] {
+            assert_eq!(ks_ref, run(&kernel, workers, batched), "kernel workers={workers} diverged");
+            let ps = run(&perms, workers, batched);
+            assert_eq!(ps_ref, ps, "permutation workers={workers} diverged");
+        }
     }
 }

@@ -8,17 +8,15 @@
 //! agree to ≤ 1e-8 *on every visited subset*, not just on the final
 //! attribution — across LOO, TMC Shapley, and Banzhaf drivers, at multiple
 //! seeds and worker counts.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_data::synth::linear_gaussian;
 use xai_data::Dataset;
+use xai_core::{ExplainRequest, Explainer, FnOracle, RunConfig};
 use xai_datavalue::{
-    data_banzhaf, data_banzhaf_incremental, data_banzhaf_parallel, leave_one_out,
-    leave_one_out_incremental, leave_one_out_parallel, tmc_shapley, tmc_shapley_incremental,
-    tmc_shapley_parallel, BanzhafConfig, FnUtility, IncrementalUtility, LogisticUtility,
-    RidgeUtility, RidgeValuationModel, TmcConfig, Utility, WarmLogisticModel,
+    data_banzhaf, data_banzhaf_incremental, leave_one_out, leave_one_out_incremental,
+    tmc_shapley, tmc_shapley_incremental, BanzhafConfig, BanzhafMethod, FnUtility,
+    IncrementalUtility, LogisticUtility, LooMethod, RidgeUtility, RidgeValuationModel, TmcConfig,
+    TmcMethod, Utility, WarmLogisticModel,
 };
 use xai_models::LogisticConfig;
 
@@ -84,28 +82,38 @@ fn parallel_drivers_hold_the_per_subset_bound_at_every_worker_count() {
     let (train, test) = ridge_data(20, 5);
     let scratch = RidgeUtility::new(&train, &test, LAMBDA);
     // Scratch baselines are worker-invariant, so compute them once.
-    let cfg = TmcConfig { permutations: 8, truncation_tolerance: 0.0, seed: 17 };
-    let bz_cfg = BanzhafConfig { samples_per_point: 4, seed: 19 };
-    let tmc_base = tmc_shapley_parallel(&scratch, cfg, 1);
-    let bz_base = data_banzhaf_parallel(&scratch, bz_cfg, 1);
+    let tmc_method = TmcMethod {
+        config: TmcConfig { permutations: 8, truncation_tolerance: 0.0, seed: 17 },
+    };
+    let bz_method = BanzhafMethod { config: BanzhafConfig { samples_per_point: 4, seed: 19 } };
+    let oracle = FnOracle::new(train.n_features(), |_: &[f64]| 0.0);
+    // `workers > 1` runs each method's chunk grid through the trait.
+    let chunked = |method: &dyn Explainer, utility: &(dyn Utility + Sync), seed, workers| {
+        let req = ExplainRequest::new(&train)
+            .utility(utility)
+            .plan(RunConfig::seeded(seed).with_workers(workers));
+        method.explain(&oracle, &req).unwrap().as_valuation().unwrap().clone()
+    };
+    let tmc_base = chunked(&tmc_method, &scratch, 17, 2);
+    let bz_base = chunked(&bz_method, &scratch, 19, 2);
     let loo_base = leave_one_out(&scratch);
 
-    for workers in [1usize, 2, 4] {
+    for workers in [2usize, 4] {
         let inc = IncrementalUtility::new(RidgeValuationModel::new(&train, &test, LAMBDA));
         let check = checking(&scratch, &inc);
 
         // The checking utility asserts the ≤1e-8 bound inside the worker
         // threads; the aggregate must then track the scratch baseline to
         // the accumulated tolerance.
-        let tmc = tmc_shapley_parallel(&check, cfg, workers);
+        let tmc = chunked(&tmc_method, &check, 17, workers);
         for (a, b) in tmc.values.iter().zip(&tmc_base.values) {
             assert!((a - b).abs() < 1e-6, "workers={workers}: TMC {a} vs {b}");
         }
-        let bz = data_banzhaf_parallel(&check, bz_cfg, workers);
+        let bz = chunked(&bz_method, &check, 19, workers);
         for (a, b) in bz.values.iter().zip(&bz_base.values) {
             assert!((a - b).abs() < 1e-6, "workers={workers}: Banzhaf {a} vs {b}");
         }
-        let loo = leave_one_out_parallel(&check, workers);
+        let loo = chunked(&LooMethod, &check, 0, workers);
         for (a, b) in loo.values.iter().zip(&loo_base.values) {
             assert!((a - b).abs() < 1e-6, "workers={workers}: LOO {a} vs {b}");
         }
