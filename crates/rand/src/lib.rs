@@ -19,7 +19,7 @@
 //!   basis of the determinism guarantee: *fixed seed ⇒ bit-identical
 //!   results at any worker count* (see [`parallel`]);
 //! - [`parallel`] — scoped-thread fork-join executors
-//!   ([`parallel::par_map_seeded`], [`parallel::par_map_chunks`]) that
+//!   ([`parallel::par_map_seeded`], [`parallel::try_par_map_seeded`]) that
 //!   hand every task its own child-seeded RNG and reduce in task order;
 //! - [`property`] — the seeded-loop property-test harness that replaced
 //!   the external `proptest` dependency.

@@ -18,7 +18,6 @@
 
 use crate::rngs::StdRng;
 use crate::{child_seed, SeedableRng};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Number of workers the machine supports (`1` when it cannot be probed).
@@ -161,61 +160,6 @@ where
     out.into_iter().map(|v| v.expect("every task runs exactly once")).collect()
 }
 
-/// Splits `0..total` into chunks of at most `chunk_size` iterations and
-/// runs each chunk as one [`par_map_seeded`] task.
-///
-/// `f` receives `(chunk_index, iteration_range, rng)`. Because the chunk
-/// grid depends only on `(total, chunk_size)` — not on `workers` — the
-/// result keeps the worker-count-invariance guarantee.
-///
-/// # Panics
-/// Panics when `chunk_size == 0` or `workers == 0`.
-pub fn par_map_chunks<U, F>(
-    total: usize,
-    chunk_size: usize,
-    seed: u64,
-    workers: usize,
-    f: F,
-) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize, Range<usize>, &mut StdRng) -> U + Sync,
-{
-    assert!(chunk_size >= 1, "chunk size must be positive");
-    let n_chunks = total.div_ceil(chunk_size);
-    par_map_seeded(n_chunks, seed, workers, |c, rng| {
-        let start = c * chunk_size;
-        let end = (start + chunk_size).min(total);
-        f(c, start..end, rng)
-    })
-}
-
-/// [`par_map_chunks`] with per-task panic isolation; see
-/// [`try_par_map_seeded`] for the fault-reporting contract.
-///
-/// # Panics
-/// Panics when `chunk_size == 0` or `workers == 0`. Chunk panics are
-/// returned, not propagated.
-pub fn try_par_map_chunks<U, F>(
-    total: usize,
-    chunk_size: usize,
-    seed: u64,
-    workers: usize,
-    f: F,
-) -> Result<Vec<U>, TaskPanic>
-where
-    U: Send,
-    F: Fn(usize, Range<usize>, &mut StdRng) -> U + Sync,
-{
-    assert!(chunk_size >= 1, "chunk size must be positive");
-    let n_chunks = total.div_ceil(chunk_size);
-    try_par_map_seeded(n_chunks, seed, workers, |c, rng| {
-        let start = c * chunk_size;
-        let end = (start + chunk_size).min(total);
-        f(c, start..end, rng)
-    })
-}
-
 /// Element-wise sum reduction for the common "each chunk returns partial
 /// sums" pattern. Summation runs in chunk order, preserving bit-exact
 /// determinism.
@@ -248,13 +192,6 @@ mod tests {
         for workers in [2, 3, 4, 16] {
             assert_eq!(one, run(workers), "workers={workers} diverged");
         }
-    }
-
-    #[test]
-    fn chunk_grid_covers_total_exactly_once() {
-        let ranges = par_map_chunks(10, 3, 7, 2, |_, r, _| r);
-        let flat: Vec<usize> = ranges.into_iter().flatten().collect();
-        assert_eq!(flat, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -305,14 +242,6 @@ mod tests {
             assert_eq!(err.task, 5, "workers={workers}: lowest task wins");
             assert_eq!(err.message, "task 5 exploded");
         }
-    }
-
-    #[test]
-    fn try_chunks_match_plain_chunks() {
-        let plain = par_map_chunks(10, 3, 7, 2, |_, r, rng| (r, rng.next_u64()));
-        let tried = try_par_map_chunks(10, 3, 7, 2, |_, r, rng| (r, rng.next_u64()))
-            .expect("fault-free run");
-        assert_eq!(plain, tried);
     }
 
     #[test]
