@@ -13,7 +13,7 @@ use xai_models::{
 use xai_rand::parallel::default_workers;
 use xai_shapley::{
     brute_force_tree_shap, exact_shapley, gbdt_shap, kernel_shap, permutation_shapley, tree_shap,
-    BatchPredictionGame, CachedGame, KernelShapConfig, MaskedPredictionGame, MemoGame,
+    BatchPredictionGame, KernelShapConfig, MaskedPredictionGame, MemoGame,
     PermutationShapleyMethod, PredictionGame,
 };
 
@@ -93,7 +93,9 @@ fn bench_kernel_shap_batched() {
         let scalar = group.bench(&format!("scalar/{d}"), || kernel_shap(&game, cfg));
         let batched = group.bench(&format!("batched/{d}"), || kernel_shap(&batch_game, cfg));
         // Warm memo across samples: after the first run every coalition hits.
-        let cached_game = CachedGame::new(&batch_game);
+        let game_key = GameKey::derive(1, &background, &instance);
+        let cached_memo = CoalitionMemo::new(1 << 14);
+        let cached_game = MemoGame::new(&batch_game, &cached_memo, game_key);
         group.bench(&format!("batched_cached/{d}"), || kernel_shap(&cached_game, cfg));
         // Zero-copy masked path: at d = 9 the fold is the identity, so the
         // logistic model itself is the oracle and coalitions run straight
@@ -103,10 +105,9 @@ fn bench_kernel_shap_batched() {
         let oracle: &dyn ModelOracle = if d == 9 { model_ref } else { &fold_oracle };
         let masked_game = MaskedPredictionGame::new(oracle, &instance, &background);
         let masked = group.bench(&format!("masked/{d}"), || kernel_shap(&masked_game, cfg));
-        // Warm cross-request memo, shared across samples like CachedGame.
+        // Warm cross-request memo, shared across samples like the one above.
         let memo = CoalitionMemo::new(1 << 14);
-        let memo_game =
-            MemoGame::new(&masked_game, &memo, GameKey::derive(1, &background, &instance));
+        let memo_game = MemoGame::new(&masked_game, &memo, game_key);
         group.bench(&format!("masked_memo/{d}"), || kernel_shap(&memo_game, cfg));
         speedups.push((
             d,

@@ -5,8 +5,10 @@
 //! iterations and reports the **median** wall-clock time — robust to the
 //! occasional scheduler hiccup without criterion's statistical machinery.
 //! Results print as an aligned table and are also written as JSON to
-//! `target/xai-bench/<group>.json` so runs can be diffed or tracked by
-//! scripts.
+//! `target/xai-bench/<group>.json`, relative to the working directory
+//! (`crates/bench` under `cargo bench`), so runs can be diffed or
+//! tracked by scripts. The checked-in gate baselines live elsewhere, in
+//! `crates/bench/baselines/`.
 //!
 //! Knobs (environment variables):
 //! - `XAI_BENCH_SAMPLES` — timed iterations per benchmark (default 11).

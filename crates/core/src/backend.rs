@@ -20,10 +20,10 @@
 //! `workers > 1`, which runs this same chunk grid in process) for every
 //! shard count, every backend, and every fault schedule. Where work runs
 //! is an operational choice; what it computes never is. That determinism
-//! is also what makes the [`ShardCache`] sound: a shard's result is a
-//! pure function of (model fingerprint, descriptor bytes), so a hedged,
-//! retried, or repeated shard can be answered from cache without risking
-//! a wrong byte.
+//! is also what makes the cluster runner's shard cache sound: a shard's
+//! result is a pure function of (model fingerprint, descriptor bytes), so
+//! a hedged, retried, or repeated shard can be answered from cache
+//! ([`descriptor_cache_key`]) without risking a wrong byte.
 //!
 //! Failure semantics per backend:
 //!
@@ -42,12 +42,10 @@
 //!   that *ran* the shard) are deterministic and are never retried or
 //!   degraded.
 
-use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{IoKind, XaiError, XaiResult};
@@ -289,42 +287,11 @@ pub trait ExecutionBackend: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-level result cache
+// Shard-level result cache key
 // ---------------------------------------------------------------------------
 
-/// Snapshot of a [`ShardCache`]'s counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCacheStats {
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
-
-struct ShardCacheState {
-    tick: u64,
-    entries: HashMap<(u64, u64), (u64, ShardResult)>,
-}
-
-/// An LRU cache of [`ShardResult`]s keyed on
-/// `(fingerprint hash, descriptor hash)` — see [`descriptor_cache_key`].
-/// Because shard execution is deterministic, a cached result is exactly
-/// what a worker would recompute, so retried, hedged, or repeated shards
-/// can be answered without touching the network. A capacity of zero
-/// disables caching entirely.
-pub struct ShardCache {
-    capacity: usize,
-    state: Mutex<ShardCacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// The cache key for a descriptor: the FNV-1a hash of its model
+/// The shard-result cache key for a descriptor (see
+/// [`ClusterRunner`]'s shard cache): the FNV-1a hash of its model
 /// fingerprint and the FNV-1a hash of its canonical JSON bytes. The
 /// descriptor bytes embed the method, config, request, plan, and chunk
 /// range, so two keys collide only for byte-identical work (up to hash
@@ -334,106 +301,6 @@ pub fn descriptor_cache_key(desc: &ShardDescriptor) -> (u64, u64) {
         fingerprint_bytes(desc.fingerprint.as_bytes()),
         fingerprint_bytes(desc.to_json_string().as_bytes()),
     )
-}
-
-impl ShardCache {
-    /// A cache holding up to `capacity` shard results (0 disables).
-    pub fn new(capacity: usize) -> Self {
-        ShardCache {
-            capacity,
-            state: Mutex::new(ShardCacheState { tick: 0, entries: HashMap::new() }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardCacheState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up the result for `desc`, counting a hit or miss.
-    pub fn get(&self, desc: &ShardDescriptor) -> Option<ShardResult> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let key = descriptor_cache_key(desc);
-        let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        match state.entries.get_mut(&key) {
-            Some((used, result)) => {
-                *used = tick;
-                let result = result.clone();
-                drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            None => {
-                drop(state);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts the result for `desc`, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&self, desc: &ShardDescriptor, result: &ShardResult) {
-        if self.capacity == 0 {
-            return;
-        }
-        let key = descriptor_cache_key(desc);
-        let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.capacity {
-            if let Some(oldest) =
-                state.entries.iter().min_by_key(|(_, (used, _))| *used).map(|(k, _)| *k)
-            {
-                state.entries.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        state.entries.insert(key, (tick, result.clone()));
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ShardCacheStats {
-        ShardCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.lock().entries.len(),
-        }
-    }
-}
-
-/// Splits `descs` into cached results and the descriptors still to run.
-/// Returns `(hits, misses)`; merge order is restored later by shard
-/// index, so the split does not need to preserve positions.
-fn split_cache_hits(
-    descs: &[ShardDescriptor],
-    cache: Option<&ShardCache>,
-) -> (Vec<ShardResult>, Vec<ShardDescriptor>) {
-    let Some(cache) = cache else {
-        return (Vec::new(), descs.to_vec());
-    };
-    let mut hits = Vec::new();
-    let mut misses = Vec::new();
-    for desc in descs {
-        match cache.get(desc) {
-            Some(result) => hits.push(result),
-            None => misses.push(desc.clone()),
-        }
-    }
-    (hits, misses)
 }
 
 // ---------------------------------------------------------------------------
@@ -688,33 +555,20 @@ fn run_pool_descriptors(
 /// [`XaiError::WorkerPanic`], garbage output is [`XaiError::Parse`], an
 /// abnormal exit is [`XaiError::ModelFault`], and a straggler past
 /// [`PoolConfig::deadline`] is killed and reported as
-/// [`XaiError::BudgetExceeded`]. An optional [`ShardCache`] answers
-/// repeated descriptors without spawning a process.
+/// [`XaiError::BudgetExceeded`].
 pub struct ProcessPoolBackend {
     pool: PoolConfig,
-    cache: Option<Arc<ShardCache>>,
 }
 
 impl ProcessPoolBackend {
-    /// A backend over the given pool configuration, uncached.
+    /// A backend over the given pool configuration.
     pub fn new(pool: PoolConfig) -> Self {
-        ProcessPoolBackend { pool, cache: None }
-    }
-
-    /// Attaches a shard-level result cache.
-    pub fn with_cache(mut self, cache: Arc<ShardCache>) -> Self {
-        self.cache = Some(cache);
-        self
+        ProcessPoolBackend { pool }
     }
 
     /// The pool configuration.
     pub fn pool(&self) -> &PoolConfig {
         &self.pool
-    }
-
-    /// Counter snapshot of the attached cache, if any.
-    pub fn cache_stats(&self) -> Option<ShardCacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 }
 
@@ -726,24 +580,8 @@ impl ExecutionBackend for ProcessPoolBackend {
     fn execute(&self, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
         let model_json = job.require_model_json("process-pool")?;
         let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
-        let cache = self.cache.as_deref();
-        let (mut results, misses) = split_cache_hits(&descs, cache);
-        let hits = results.len() as u64;
-        let miss_count = misses.len() as u64;
-        let fresh = run_pool_descriptors(&misses, &self.pool)?;
-        if let Some(cache) = cache {
-            for (desc, result) in misses.iter().zip(&fresh) {
-                cache.insert(desc, result);
-            }
-        }
-        results.extend(fresh);
-        let explanation = merge_shard_results(job.explainer, job.model, job.req, results)?;
-        Ok(BackendOutcome {
-            explanation,
-            degraded: false,
-            shard_cache_hits: hits,
-            shard_cache_misses: miss_count,
-        })
+        let results = run_pool_descriptors(&descs, &self.pool)?;
+        merge_shard_results(job.explainer, job.model, job.req, results).map(BackendOutcome::fresh)
     }
 }
 
@@ -837,6 +675,7 @@ pub fn execute_cluster(runner: &ClusterRunner, job: &BackendJob<'_>) -> XaiResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Lru;
 
     #[test]
     fn backend_choice_wire_round_trips() {
@@ -879,8 +718,8 @@ mod tests {
                 partial: Json::obj(vec![("chunks", Json::Arr(vec![]))]),
             }
         }
-        fn desc(shard: usize) -> ShardDescriptor {
-            ShardDescriptor {
+        fn key(shard: usize) -> (u64, u64) {
+            descriptor_cache_key(&ShardDescriptor {
                 method: "test".into(),
                 config: Json::obj(vec![]),
                 fingerprint: "00".into(),
@@ -895,17 +734,17 @@ mod tests {
                 instance: None,
                 feature: None,
                 plan: crate::explainer::RunConfig::default(),
-            }
+            })
         }
-        let cache = ShardCache::new(2);
-        assert!(cache.get(&desc(0)).is_none());
-        cache.insert(&desc(0), &result(0));
-        cache.insert(&desc(1), &result(1));
-        assert_eq!(cache.get(&desc(0)).unwrap().shard, 0);
+        let cache = Lru::new(2);
+        assert!(cache.get(&key(0)).is_none());
+        cache.insert(key(0), result(0));
+        cache.insert(key(1), result(1));
+        assert_eq!(cache.get(&key(0)).unwrap().shard, 0);
         // 1 is now least recently used; inserting 2 evicts it.
-        cache.insert(&desc(2), &result(2));
-        assert!(cache.get(&desc(1)).is_none());
-        assert_eq!(cache.get(&desc(2)).unwrap().shard, 2);
+        cache.insert(key(2), result(2));
+        assert!(cache.get(&key(1)).is_none());
+        assert_eq!(cache.get(&key(2)).unwrap().shard, 2);
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
@@ -915,7 +754,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_the_cache() {
-        let cache = ShardCache::new(0);
+        let cache = Lru::new(0);
         let desc = ShardDescriptor {
             method: "test".into(),
             config: Json::obj(vec![]),
@@ -939,8 +778,8 @@ mod tests {
             n_shards: 1,
             partial: Json::obj(vec![("chunks", Json::Arr(vec![]))]),
         };
-        cache.insert(&desc, &result);
-        assert!(cache.get(&desc).is_none());
+        cache.insert(descriptor_cache_key(&desc), result);
+        assert!(cache.get(&descriptor_cache_key(&desc)).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

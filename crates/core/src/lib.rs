@@ -21,6 +21,9 @@
 //!   `try_*` entry point, plus [`SampleBudget`] for best-effort
 //!   Monte-Carlo estimation;
 //! - [`validate`] — up-front NaN/Inf and degenerate-background rejection;
+//! - [`cache`] — the one cache primitive: [`cache::Lru`], a bounded,
+//!   thread-safe, exact-LRU map with hit/miss/eviction counters that
+//!   every cache in the workspace is built on;
 //! - [`serve`] — the explanation-serving engine (DESIGN.md §10): requests
 //!   as JSON data, a worker pool with admission control, and a
 //!   fingerprint-keyed LRU result cache;
@@ -40,9 +43,10 @@
 //!   object-safe [`backend::ExecutionBackend`] trait with
 //!   [`backend::LocalBackend`], [`backend::ProcessPoolBackend`] and
 //!   [`backend::ClusterBackend`] implementations, all merging shard
-//!   partials bit-identically, plus the shard-level result cache.
+//!   partials bit-identically.
 
 pub mod backend;
+pub mod cache;
 pub mod error;
 pub mod eval;
 pub mod explainer;
@@ -58,9 +62,9 @@ pub mod validate;
 
 pub use backend::{
     dispatch_local, execute_cluster, BackendChoice, BackendJob, BackendKind, BackendOutcome,
-    ClusterBackend, ExecutionBackend, LocalBackend, PoolConfig, ProcessPoolBackend, ShardCache,
-    ShardCacheStats,
+    ClusterBackend, ExecutionBackend, LocalBackend, PoolConfig, ProcessPoolBackend,
 };
+pub use cache::{CacheStats, Lru};
 pub use error::{catch_model, BudgetMeter, IoKind, SampleBudget, XaiError, XaiResult};
 pub use explainer::{
     CurveExplanation, DegradationPolicy, ExecPlan, ExplainRequest, Explainer, Explanation,
@@ -70,7 +74,7 @@ pub use explanation::{
     Condition, Counterfactual, DataAttribution, FeatureAttribution, Op, RuleExplanation,
 };
 pub use json_parse::{parse_json, ParseError};
-pub use memo::{fingerprint_f64s, CoalitionMemo, GameKey, MemoHandle, MemoStats};
+pub use memo::{fingerprint_f64s, CoalitionMemo, GameKey, MemoHandle};
 pub use report::{Json, ToReport};
 pub use serve::{
     fingerprint_bytes, ExplanationService, ServeRequest, ServeResponse, ServeStats, ServiceConfig,

@@ -1,8 +1,7 @@
 //! Shared cross-request coalition memo (DESIGN.md §12).
 //!
-//! The per-call `CachedGame` in `xai-shapley` deduplicates coalition
-//! evaluations *within* one explanation. This module generalizes that memo
-//! across requests: a [`CoalitionMemo`] is a bounded, thread-safe map from
+//! A [`CoalitionMemo`] deduplicates coalition evaluations across
+//! explanations and requests: it is a bounded, thread-safe map from
 //! `(model fingerprint, background fingerprint, instance fingerprint,
 //! coalition mask)` to the coalition's value `v(S)`. Because every
 //! estimator in the workspace is deterministic and a coalition value is a
@@ -14,13 +13,10 @@
 //!
 //! Keys never dangle: retraining a model changes its persisted bytes and
 //! therefore its fingerprint, so stale values are unreachable rather than
-//! invalidated in place. Capacity pressure is handled by evicting the
-//! oldest half of the entries (by last-touch tick) in one O(n) pass,
-//! amortizing eviction cost over many inserts.
+//! invalidated in place. Capacity pressure evicts the least recently used
+//! coalition value, one at a time ([`crate::cache::Lru`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use crate::cache::{CacheStats, Lru};
 
 /// FNV-1a offset basis (matches `serve::fingerprint_bytes`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -78,135 +74,56 @@ pub struct MemoHandle<'a> {
     pub model_fingerprint: u64,
 }
 
-/// Counter snapshot from [`CoalitionMemo::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Coalition values served from the memo instead of the oracle.
-    pub hits: u64,
-    /// Coalition lookups that missed and were evaluated live.
-    pub misses: u64,
-    /// Entries dropped by capacity eviction.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-}
-
-struct Entry {
-    value: f64,
-    tick: u64,
-}
-
-struct MemoState {
-    map: HashMap<(GameKey, u64), Entry>,
-    tick: u64,
-}
-
-/// Bounded, thread-safe cross-request coalition-value memo.
+/// Bounded, thread-safe cross-request coalition-value memo: an
+/// [`Lru`] keyed on `(game, coalition mask)`.
 ///
 /// A `capacity` of `0` disables the memo: every lookup misses and inserts
 /// are dropped, so callers can plumb one code path for both modes.
 pub struct CoalitionMemo {
-    capacity: usize,
-    state: Mutex<MemoState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: Lru<(GameKey, u64), f64>,
 }
 
 impl CoalitionMemo {
     /// A memo holding at most `capacity` coalition values.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            state: Mutex::new(MemoState { map: HashMap::new(), tick: 0 }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        Self { lru: Lru::new(capacity) }
     }
 
     /// Maximum resident entries (0 = disabled).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity()
     }
 
     /// Looks up `masks` under `key`, writing each found value into the
     /// matching `out` slot (missing slots are set to `None`). Returns the
-    /// number of hits. Hit entries are touched for eviction recency.
+    /// number of hits. Hit entries become the most recently used.
     pub fn get_many(&self, key: &GameKey, masks: &[u64], out: &mut [Option<f64>]) -> usize {
         assert_eq!(masks.len(), out.len(), "memo lookup arity mismatch");
-        if self.capacity == 0 {
-            out.fill(None);
-            self.misses.fetch_add(masks.len() as u64, Ordering::Relaxed);
-            return 0;
-        }
-        let mut state = lock(&self.state);
-        let mut hits = 0usize;
-        for (&mask, slot) in masks.iter().zip(out.iter_mut()) {
-            state.tick += 1;
-            let tick = state.tick;
-            *slot = match state.map.get_mut(&(*key, mask)) {
-                Some(entry) => {
-                    entry.tick = tick;
-                    hits += 1;
-                    Some(entry.value)
-                }
-                None => None,
-            };
-        }
-        drop(state);
-        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
-        self.misses.fetch_add((masks.len() - hits) as u64, Ordering::Relaxed);
-        hits
+        self.lru.with(|map| {
+            let mut hits = 0;
+            for (&mask, slot) in masks.iter().zip(out.iter_mut()) {
+                *slot = map.get(&(*key, mask)).copied();
+                hits += usize::from(slot.is_some());
+            }
+            hits
+        })
     }
 
     /// Publishes freshly evaluated coalition values. Values are pure
     /// functions of `(key, mask)`, so racing inserts of the same key are
-    /// harmless — last write wins with identical bits. Triggers a half-
-    /// eviction pass when the map would exceed capacity.
+    /// harmless — last write wins with identical bits.
     pub fn insert_many<I: IntoIterator<Item = (u64, f64)>>(&self, key: &GameKey, values: I) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut state = lock(&self.state);
-        for (mask, value) in values {
-            state.tick += 1;
-            let tick = state.tick;
-            state.map.insert((*key, mask), Entry { value, tick });
-        }
-        if state.map.len() > self.capacity {
-            let evicted = evict_oldest_half(&mut state.map);
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
+        self.lru.with(|map| {
+            for (mask, value) in values {
+                map.insert((*key, mask), value);
+            }
+        });
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: lock(&self.state).map.len() as u64,
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.lru.stats()
     }
-}
-
-/// Drops the oldest half of the entries by last-touch tick. One O(n)
-/// selection plus one retain pass; returns how many entries were dropped.
-/// Ticks are unique per touch, so exactly `len / 2` entries fall below the
-/// median and the map always shrinks.
-fn evict_oldest_half(map: &mut HashMap<(GameKey, u64), Entry>) -> usize {
-    let before = map.len();
-    let mut ticks: Vec<u64> = map.values().map(|e| e.tick).collect();
-    let mid = ticks.len() / 2;
-    let (_, &mut cutoff, _) = ticks.select_nth_unstable(mid);
-    let cutoff = cutoff;
-    map.retain(|_, e| e.tick >= cutoff);
-    before - map.len()
-}
-
-fn lock<'a>(m: &'a Mutex<MemoState>) -> MutexGuard<'a, MemoState> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -51,6 +51,7 @@ use std::time::Duration;
 
 use xai_data::Dataset;
 
+use crate::cache::Lru;
 use crate::error::{SampleBudget, XaiError, XaiResult};
 use crate::explainer::{
     CurveExplanation, DegradationPolicy, ExplainRequest, Explanation, ModelOracle, RunConfig,
@@ -815,53 +816,6 @@ impl ServeResponse {
 }
 
 // ---------------------------------------------------------------------------
-// LRU result cache
-// ---------------------------------------------------------------------------
-
-struct LruCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<(u64, u64), (u64, String)>,
-}
-
-impl LruCache {
-    fn new(capacity: usize) -> Self {
-        Self { capacity, tick: 0, entries: HashMap::new() }
-    }
-
-    fn get(&mut self, key: &(u64, u64)) -> Option<String> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.0 = tick;
-            e.1.clone()
-        })
-    }
-
-    /// Inserts, returning how many entries were evicted (0 or 1).
-    fn insert(&mut self, key: (u64, u64), payload: String) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.tick += 1;
-        let mut evicted = 0;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.entries.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-                evicted = 1;
-            }
-        }
-        self.entries.insert(key, (self.tick, payload));
-        evicted
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
 
@@ -897,9 +851,6 @@ struct StatCells {
     rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
     local_completed: AtomicU64,
     local_failed: AtomicU64,
     pool_completed: AtomicU64,
@@ -917,7 +868,8 @@ struct Inner {
     models: Mutex<HashMap<String, Arc<RegisteredModel>>>,
     queue: Mutex<QueueState>,
     queue_cond: Condvar,
-    cache: Mutex<LruCache>,
+    /// Canonical payloads by (model fingerprint, canonical request hash).
+    cache: Lru<(u64, u64), String>,
     memo: crate::memo::CoalitionMemo,
     stats: StatCells,
     /// Execution backends registered via [`ExplanationService::set_backend`],
@@ -962,7 +914,7 @@ impl ExplanationService {
             models: Mutex::new(HashMap::new()),
             queue: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
             queue_cond: Condvar::new(),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            cache: Lru::new(config.cache_capacity),
             memo: crate::memo::CoalitionMemo::new(config.memo_capacity),
             stats: StatCells::default(),
             backends: Mutex::new(HashMap::new()),
@@ -1046,21 +998,22 @@ impl ExplanationService {
 
     /// Current number of cached results.
     pub fn cache_len(&self) -> usize {
-        lock(&self.inner.cache).len()
+        self.inner.cache.len()
     }
 
     /// Snapshot of the engine counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.inner.stats;
+        let cache = self.inner.cache.stats();
         let memo = self.inner.memo.stats();
         ServeStats {
             submitted: s.submitted.load(Ordering::SeqCst),
             rejected: s.rejected.load(Ordering::SeqCst),
             completed: s.completed.load(Ordering::SeqCst),
             failed: s.failed.load(Ordering::SeqCst),
-            cache_hits: s.cache_hits.load(Ordering::SeqCst),
-            cache_misses: s.cache_misses.load(Ordering::SeqCst),
-            cache_evictions: s.cache_evictions.load(Ordering::SeqCst),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
@@ -1257,8 +1210,7 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
         .ok_or_else(|| perr(format!("unknown method '{}'", request.method)))?;
     let key = (entry.fingerprint, request.canonical_hash());
 
-    if let Some(payload) = lock(&inner.cache).get(&key) {
-        inner.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
+    if let Some(payload) = inner.cache.get(&key) {
         return Ok(ServeResponse {
             method: request.method.clone(),
             model: request.model.clone(),
@@ -1268,7 +1220,6 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
             payload,
         });
     }
-    inner.stats.cache_misses.fetch_add(1, Ordering::SeqCst);
 
     let mut req = ExplainRequest::new(&entry.data).plan(request.plan);
     if let Some(x) = &request.instance {
@@ -1330,10 +1281,7 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
     };
 
     let payload = explanation.to_json_string();
-    let evicted = lock(&inner.cache).insert(key, payload.clone());
-    if evicted > 0 {
-        inner.stats.cache_evictions.fetch_add(evicted, Ordering::SeqCst);
-    }
+    inner.cache.insert(key, payload.clone());
     Ok(ServeResponse {
         method: request.method.clone(),
         model: request.model.clone(),
@@ -1567,16 +1515,16 @@ mod tests {
 
     #[test]
     fn lru_cache_evicts_least_recently_used() {
-        let mut cache = LruCache::new(2);
-        assert_eq!(cache.insert((0, 1), "one".into()), 0);
-        assert_eq!(cache.insert((0, 2), "two".into()), 0);
+        let cache: Lru<(u64, u64), String> = Lru::new(2);
+        assert!(!cache.insert((0, 1), "one".into()));
+        assert!(!cache.insert((0, 2), "two".into()));
         assert!(cache.get(&(0, 1)).is_some()); // refresh (0,1)
-        assert_eq!(cache.insert((0, 3), "three".into()), 1); // displaces (0,2)
+        assert!(cache.insert((0, 3), "three".into())); // displaces (0,2)
         assert!(cache.get(&(0, 2)).is_none());
         assert!(cache.get(&(0, 1)).is_some());
         assert!(cache.get(&(0, 3)).is_some());
         // Replacing an existing key is not an eviction.
-        assert_eq!(cache.insert((0, 3), "three'".into()), 0);
+        assert!(!cache.insert((0, 3), "three'".into()));
         assert_eq!(cache.len(), 2);
     }
 

@@ -124,6 +124,27 @@ pub fn chunks_json(chunks: Vec<Json>) -> Json {
     Json::obj(vec![("chunks", Json::Arr(chunks))])
 }
 
+/// Serializes a value vector for a shard partial, refusing non-finite
+/// entries (the model's fault, not the wire's) as a typed
+/// [`XaiError::ModelFault`] before JSON could degrade them to `null`.
+pub fn shard_nums(what: &str, vals: &[f64]) -> XaiResult<Json> {
+    if let Some(i) = vals.iter().position(|v| !v.is_finite()) {
+        return Err(XaiError::ModelFault { context: format!("{what}: value {i} is {}", vals[i]) });
+    }
+    Ok(Json::nums(vals))
+}
+
+/// Refuses a budgeted plan on behalf of `method`, which has no budgeted
+/// execution path.
+pub fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
+    if req.plan.budgeted() {
+        return Err(XaiError::Unsupported {
+            context: format!("{method} has no budgeted execution path; clear RunConfig::budget"),
+        });
+    }
+    Ok(())
+}
+
 /// Flattens ordered shard partials back into the global per-chunk
 /// payload sequence. The inverse of [`chunks_json`] across shards.
 pub fn flatten_chunks<'a>(partials: &'a [Json], what: &str) -> XaiResult<Vec<&'a Json>> {

@@ -12,8 +12,8 @@
 //! Connections are **reused**: each endpoint keeps a pool of idle
 //! persistent framed sessions, so a runner shipping many descriptors
 //! pays one TCP handshake per concurrent stream, not one per
-//! descriptor. A shard-level [`crate::backend::ShardCache`] keyed on
-//! (model fingerprint, descriptor hash) answers repeated, retried, or
+//! descriptor. A shard-level result cache ([`crate::cache::Lru`]) keyed
+//! on (model fingerprint, descriptor hash) answers repeated, retried, or
 //! hedged shards without touching the network at all — sound because
 //! shard execution is deterministic.
 //!
@@ -65,7 +65,8 @@ use std::time::{Duration, Instant};
 
 use xai_rand::{child_seed, SplitMix64};
 
-use crate::backend::{BackendJob, ShardCache};
+use crate::backend::{descriptor_cache_key, BackendJob};
+use crate::cache::Lru;
 use crate::error::{IoKind, XaiError, XaiResult};
 use crate::explainer::{ExplainRequest, Explanation, ModelOracle};
 use crate::report::Json;
@@ -391,9 +392,9 @@ pub struct ClusterConfig {
     pub breaker_cooldown: Duration,
     /// Behaviour when every endpoint is unavailable.
     pub fallback: FallbackPolicy,
-    /// Capacity of the shard-level result cache
-    /// ([`crate::backend::ShardCache`]): repeated, retried, or hedged
-    /// shards with an identical (fingerprint, descriptor) key are
+    /// Capacity of the shard-level result cache (an exact LRU keyed by
+    /// [`crate::backend::descriptor_cache_key`]): repeated, retried, or
+    /// hedged shards with an identical (fingerprint, descriptor) key are
     /// answered from cache instead of the network. Zero disables it.
     pub shard_cache_capacity: usize,
 }
@@ -670,7 +671,8 @@ pub struct ClusterRunner {
     health: HealthTracker,
     counters: Arc<Counters>,
     sessions: Vec<Arc<SessionPool>>,
-    shard_cache: Option<ShardCache>,
+    /// Shard results by [`descriptor_cache_key`].
+    shard_cache: Lru<(u64, u64), ShardResult>,
 }
 
 impl ClusterRunner {
@@ -699,8 +701,7 @@ impl ClusterRunner {
             config.breaker_cooldown,
         );
         let sessions = addrs.iter().map(|_| Arc::new(SessionPool::new())).collect();
-        let shard_cache = (config.shard_cache_capacity > 0)
-            .then(|| ShardCache::new(config.shard_cache_capacity));
+        let shard_cache = Lru::new(config.shard_cache_capacity);
         Ok(ClusterRunner {
             config,
             addrs,
@@ -723,7 +724,7 @@ impl ClusterRunner {
 
     /// Current transport counters.
     pub fn stats(&self) -> ClusterStats {
-        let cache = self.shard_cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let cache = self.shard_cache.stats();
         ClusterStats {
             attempts: self.counters.attempts.load(Ordering::Relaxed),
             retries: self.counters.retries.load(Ordering::Relaxed),
@@ -791,14 +792,13 @@ impl ClusterRunner {
     /// inserted so a later retry, hedge, or repeat of the same
     /// (fingerprint, descriptor) key is answered locally.
     fn run_shard(&self, desc: &ShardDescriptor) -> Result<ShardResult, ShardFailure> {
-        if let Some(cache) = &self.shard_cache {
-            if let Some(result) = cache.get(desc) {
-                return Ok(result);
-            }
+        let key = descriptor_cache_key(desc);
+        if let Some(result) = self.shard_cache.get(&key) {
+            return Ok(result);
         }
         let outcome = self.run_shard_transport(desc);
-        if let (Some(cache), Ok(result)) = (&self.shard_cache, &outcome) {
-            cache.insert(desc, result);
+        if let Ok(result) = &outcome {
+            self.shard_cache.insert(key, result.clone());
         }
         outcome
     }

@@ -17,8 +17,8 @@
 
 use xai_core::backend::dispatch_local;
 use xai_core::shard::{
-    chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
-    ShardableExplainer,
+    chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget, wire_error,
+    DrawGrid, ShardableExplainer,
 };
 use xai_core::taxonomy::method_card;
 use xai_core::{
@@ -33,15 +33,6 @@ use crate::dice::{DiceConfig, DiceExplainer};
 use crate::distance::FeatureScales;
 use crate::geco::{certify_counterfactual, geco, try_geco, GecoConfig, Plaf};
 use crate::wachter::{try_wachter_counterfactual, GradientModel, WachterConfig};
-
-fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
-    if req.plan.budgeted() {
-        return Err(XaiError::Unsupported {
-            context: format!("{method} has no budgeted execution path; clear RunConfig::budget"),
-        });
-    }
-    Ok(())
-}
 
 /// Adapter: the Wachter gradient surface over any oracle that advertises
 /// a gradient.

@@ -28,8 +28,8 @@
 
 use xai_core::backend::dispatch_local;
 use xai_core::shard::{
-    chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
-    ShardableExplainer,
+    chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget, shard_nums,
+    wire_error, DrawGrid, ShardableExplainer,
 };
 use xai_core::taxonomy::method_card;
 use xai_core::{
@@ -45,24 +45,6 @@ use crate::data_shapley::{self, try_tmc_shapley_budgeted, TmcConfig};
 use crate::loo::{self, try_leave_one_out};
 use crate::parallel;
 use crate::utility::{check_finite_values, LogisticUtility, Utility};
-
-fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
-    if req.plan.budgeted() {
-        return Err(XaiError::Unsupported {
-            context: format!("{method} has no budgeted execution path; clear RunConfig::budget"),
-        });
-    }
-    Ok(())
-}
-
-/// Serialises a value slice for a shard partial, refusing non-finite
-/// values before they reach the wire (JSON would silently null them).
-fn shard_nums(what: &str, vals: &[f64]) -> XaiResult<Json> {
-    if let Some(i) = vals.iter().position(|v| !v.is_finite()) {
-        return Err(XaiError::ModelFault { context: format!("{what}: value {i} is {}", vals[i]) });
-    }
-    Ok(Json::nums(vals))
-}
 
 /// The utility a valuation request resolves to: the caller's own, or the
 /// default logistic retraining utility built on the request data.

@@ -7,6 +7,7 @@
 //! and metric — exactly the "specific to the learning algorithm \[and\] the
 //! performance metric" dependence the tutorial highlights.
 
+use xai_core::cache::Lru;
 use xai_data::metrics::accuracy;
 use xai_data::Dataset;
 use xai_linalg::Matrix;
@@ -190,13 +191,8 @@ impl Utility for KnnUtility<'_> {
 /// crate are set functions, for which caching is exact.
 pub struct CachedUtility<'a, U: Utility + ?Sized> {
     inner: &'a U,
-    state: std::sync::Mutex<CachedUtilityState>,
-}
-
-struct CachedUtilityState {
-    memo: std::collections::HashMap<u64, f64>,
-    hits: usize,
-    misses: usize,
+    /// Scores by subset bitmask; never evicts.
+    memo: Lru<u64, f64>,
 }
 
 impl<'a, U: Utility + ?Sized> CachedUtility<'a, U> {
@@ -207,30 +203,23 @@ impl<'a, U: Utility + ?Sized> CachedUtility<'a, U> {
             inner.n_train() <= 64,
             "CachedUtility is limited to 64 training points (bitmask key)"
         );
-        Self {
-            inner,
-            state: std::sync::Mutex::new(CachedUtilityState {
-                memo: std::collections::HashMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
-        }
+        Self { inner, memo: Lru::new(usize::MAX) }
     }
 
     /// `(hits, misses)` since construction.
     pub fn stats(&self) -> (usize, usize) {
-        let s = self.state.lock().expect("utility cache poisoned");
-        (s.hits, s.misses)
+        let stats = self.memo.stats();
+        (stats.hits as usize, stats.misses as usize)
     }
 
     /// Number of distinct subsets evaluated so far.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("utility cache poisoned").memo.len()
+        self.memo.len()
     }
 
     /// True when no subset has been evaluated yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 }
 
@@ -241,20 +230,15 @@ impl<U: Utility + ?Sized> Utility for CachedUtility<'_, U> {
             debug_assert!(i < self.inner.n_train(), "index {i} out of range");
             mask |= 1u64 << i;
         }
-        {
-            let mut s = self.state.lock().expect("utility cache poisoned");
-            if let Some(&v) = s.memo.get(&mask) {
-                s.hits += 1;
-                return v;
-            }
-            s.misses += 1;
+        if let Some(v) = self.memo.get(&mask) {
+            return v;
         }
         // Evaluate outside the lock: subset utilities are deterministic, so
         // a racing duplicate evaluation returns the same value.
         let mut canonical = subset.to_vec();
         canonical.sort_unstable();
         let v = self.inner.eval(&canonical);
-        self.state.lock().expect("utility cache poisoned").memo.insert(mask, v);
+        self.memo.insert(mask, v);
         v
     }
 

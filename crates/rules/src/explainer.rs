@@ -14,8 +14,8 @@
 
 use xai_core::backend::dispatch_local;
 use xai_core::shard::{
-    arr_field, chunks_json, flatten_chunks, index_field, num_field, str_field, wire_error,
-    DrawGrid, ShardableExplainer,
+    arr_field, chunks_json, flatten_chunks, index_field, num_field, reject_budget, str_field,
+    wire_error, DrawGrid, ShardableExplainer,
 };
 use xai_core::taxonomy::method_card;
 use xai_core::{
@@ -26,15 +26,6 @@ use xai_rand::child_seed;
 
 use crate::anchors::{AnchorsConfig, AnchorsExplainer};
 use crate::ids::{DecisionSet, IdsConfig};
-
-fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
-    if req.plan.budgeted() {
-        return Err(XaiError::Unsupported {
-            context: format!("{method} has no budgeted execution path; clear RunConfig::budget"),
-        });
-    }
-    Ok(())
-}
 
 /// `true` when `a` beats `b` under the pool ranking: higher precision,
 /// then shorter rule, then wider coverage. Strict comparisons keep the

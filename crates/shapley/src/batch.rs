@@ -12,10 +12,7 @@
 //! - [`BatchPredictionGame`] materializes *all* perturbed rows of a
 //!   sampling round into one [`Matrix`] and makes a single call through a
 //!   batched model surface (`Fn(&Matrix) -> Vec<f64>`, see
-//!   `xai_models::BatchPredictFn`);
-//! - [`CachedGame`] memoizes coalition values by bitmask *within one
-//!   game instance*, so repeated subsets hit a hash map instead of the
-//!   model.
+//!   `xai_models::BatchPredictFn`).
 //!
 //! Materialization is **not** the only strategy, and since the zero-copy
 //! layer (DESIGN.md §12) it is no longer the default one. Which path a
@@ -28,8 +25,8 @@
 //!   (masked kernels in `xai_linalg::batch`, arena scratch for outputs).
 //!   When the request carries a shared [`xai_core::CoalitionMemo`] handle,
 //!   the game is additionally wrapped in a
-//!   [`crate::masked::MemoGame`] — the cross-request generalization of
-//!   [`CachedGame`].
+//!   [`crate::masked::MemoGame`], which serves repeated coalitions from
+//!   the memo instead of the model.
 //! - **> 64 features, or callers holding only a closure** — the
 //!   [`BatchPredictionGame`] here, which trades one big allocation for
 //!   batched inference and works at any arity.
@@ -49,8 +46,6 @@
 //! themselves bit-identical to the scalar predictors.
 
 use crate::game::{CooperativeGame, TableGame};
-use std::collections::HashMap;
-use std::sync::Mutex;
 use xai_linalg::Matrix;
 
 /// A cooperative game that can evaluate many coalitions per call.
@@ -160,128 +155,6 @@ impl<F: Fn(&Matrix) -> Vec<f64> + ?Sized> BatchGame for BatchPredictionGame<'_, 
     }
 }
 
-/// Cache counters and the memo table, behind one lock.
-struct CacheState {
-    memo: HashMap<u64, f64>,
-    hits: usize,
-    misses: usize,
-}
-
-/// A memoizing wrapper around any [`BatchGame`]: coalition values are
-/// cached under their membership bitmask (player `i` ⇔ bit `i`), so
-/// repeated subsets within a seeded run — common in permutation walks and
-/// sampled Kernel SHAP — cost one hash lookup instead of a model round.
-///
-/// Because game values are deterministic functions of the coalition, a
-/// cache hit returns the bit-identical value the game would have produced;
-/// wrapping a game in `CachedGame` never changes estimator output. The
-/// wrapper is `Sync` (the memo sits behind a [`Mutex`]) and misses are
-/// evaluated *outside* the lock, batched per call, so parallel workers
-/// share the cache without serializing their model rounds.
-pub struct CachedGame<'a, G: BatchGame + ?Sized> {
-    inner: &'a G,
-    state: Mutex<CacheState>,
-}
-
-impl<'a, G: BatchGame + ?Sized> CachedGame<'a, G> {
-    /// Wraps a game. Panics above 64 players (the bitmask key width).
-    pub fn new(inner: &'a G) -> Self {
-        assert!(
-            inner.n_players() <= 64,
-            "coalition bitmask cache supports at most 64 players"
-        );
-        Self {
-            inner,
-            state: Mutex::new(CacheState { memo: HashMap::new(), hits: 0, misses: 0 }),
-        }
-    }
-
-    fn mask_of(coalition: &[bool]) -> u64 {
-        let mut mask = 0u64;
-        for (i, &in_s) in coalition.iter().enumerate() {
-            if in_s {
-                mask |= 1 << i;
-            }
-        }
-        mask
-    }
-
-    /// `(hits, misses)` so far; a miss is a coalition forwarded to the
-    /// underlying game.
-    pub fn stats(&self) -> (usize, usize) {
-        let state = self.state.lock().expect("cache lock poisoned");
-        (state.hits, state.misses)
-    }
-
-    /// Number of distinct coalitions cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock poisoned").memo.len()
-    }
-
-    /// Whether the cache is still empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<G: BatchGame + ?Sized> CooperativeGame for CachedGame<'_, G> {
-    fn n_players(&self) -> usize {
-        self.inner.n_players()
-    }
-
-    fn value(&self, coalition: &[bool]) -> f64 {
-        self.values(std::slice::from_ref(&coalition.to_vec()))[0]
-    }
-}
-
-impl<G: BatchGame + ?Sized> BatchGame for CachedGame<'_, G> {
-    fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
-        let masks: Vec<u64> = coalitions.iter().map(|c| Self::mask_of(c)).collect();
-        let mut out = vec![0.0; coalitions.len()];
-        // Phase 1: serve hits, collect distinct misses in first-seen order.
-        let mut miss_masks: Vec<u64> = Vec::new();
-        let mut miss_coalitions: Vec<Vec<bool>> = Vec::new();
-        let mut unresolved: Vec<usize> = Vec::new();
-        {
-            let mut state = self.state.lock().expect("cache lock poisoned");
-            let mut seen_this_call: HashMap<u64, ()> = HashMap::new();
-            for (i, (&mask, coalition)) in masks.iter().zip(coalitions).enumerate() {
-                if let Some(&v) = state.memo.get(&mask) {
-                    state.hits += 1;
-                    out[i] = v;
-                } else {
-                    state.misses += 1;
-                    unresolved.push(i);
-                    if seen_this_call.insert(mask, ()).is_none() {
-                        miss_masks.push(mask);
-                        miss_coalitions.push(coalition.clone());
-                    }
-                }
-            }
-        }
-        if miss_coalitions.is_empty() {
-            return out;
-        }
-        // Phase 2: one batched round for the distinct misses, lock released
-        // so concurrent workers overlap their model evaluation. (A racing
-        // worker may evaluate the same mask; both compute the identical
-        // deterministic value, so the duplicate insert is harmless.)
-        let fresh = self.inner.values(&miss_coalitions);
-        let fresh_by_mask: HashMap<u64, f64> =
-            miss_masks.iter().copied().zip(fresh.iter().copied()).collect();
-        {
-            let mut state = self.state.lock().expect("cache lock poisoned");
-            for (&mask, &v) in miss_masks.iter().zip(&fresh) {
-                state.memo.insert(mask, v);
-            }
-        }
-        for i in unresolved {
-            out[i] = fresh_by_mask[&masks[i]];
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,50 +183,5 @@ mod tests {
         assert_eq!(g_batch.n_players(), 3);
         assert_eq!(g_batch.empty_value(), g_scalar.empty_value());
         assert_eq!(g_batch.grand_value(), g_scalar.grand_value());
-    }
-
-    #[test]
-    fn cached_game_serves_repeats_bit_identically_and_counts() {
-        let game = TableGame::new(
-            4,
-            (0..16).map(|m: usize| (m.count_ones() as f64).sqrt() * 1.3 - 0.1).collect(),
-        );
-        let cached = CachedGame::new(&game);
-        let coalitions: Vec<Vec<bool>> = [3usize, 5, 3, 9, 5, 3]
-            .iter()
-            .map(|&m| mask_to_coalition(m, 4))
-            .collect();
-        let vals = cached.values(&coalitions);
-        for (c, v) in coalitions.iter().zip(&vals) {
-            assert_eq!(*v, game.value(c));
-        }
-        // All six requests of the first call miss (the cache fills only at
-        // the end of the call), but only the 3 distinct masks reach the
-        // underlying game.
-        assert_eq!(cached.stats(), (0, 6));
-        assert_eq!(cached.len(), 3);
-        // Second pass over the same coalitions: all hits, same bits.
-        let again = cached.values(&coalitions);
-        assert_eq!(again, vals);
-        assert_eq!(cached.stats(), (6, 6));
-        // Scalar entry point goes through the cache too.
-        assert_eq!(cached.value(&coalitions[0]), vals[0]);
-        assert_eq!(cached.stats(), (7, 6));
-    }
-
-    #[test]
-    fn cached_game_rejects_too_many_players() {
-        struct Wide;
-        impl CooperativeGame for Wide {
-            fn n_players(&self) -> usize {
-                65
-            }
-            fn value(&self, _c: &[bool]) -> f64 {
-                0.0
-            }
-        }
-        impl BatchGame for Wide {}
-        let result = std::panic::catch_unwind(|| CachedGame::new(&Wide));
-        assert!(result.is_err());
     }
 }

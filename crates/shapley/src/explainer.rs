@@ -16,8 +16,8 @@
 //! [`XaiError::Unsupported`] rather than silently ignoring the cap.
 
 use xai_core::shard::{
-    chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
-    ShardableExplainer,
+    chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget, shard_nums,
+    wire_error, DrawGrid, ShardableExplainer,
 };
 use xai_core::backend::dispatch_local;
 use xai_core::taxonomy::method_card;
@@ -131,25 +131,6 @@ fn reject_unmetered_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<
         });
     }
     Ok(())
-}
-
-fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
-    if req.plan.budgeted() {
-        return Err(XaiError::Unsupported {
-            context: format!("{method} has no budgeted execution path; clear RunConfig::budget"),
-        });
-    }
-    Ok(())
-}
-
-/// Serializes a value vector for a shard partial, mapping non-finite
-/// entries (the model's fault, not the wire's) to a typed error before
-/// they could degrade to JSON `null`s.
-fn shard_nums(what: &str, vals: &[f64]) -> XaiResult<Json> {
-    if let Some(i) = vals.iter().position(|v| !v.is_finite()) {
-        return Err(XaiError::ModelFault { context: format!("{what}: value {i} is {}", vals[i]) });
-    }
-    Ok(Json::nums(vals))
 }
 
 /// Exact Shapley values by coalition enumeration (§2.1.2) through the

@@ -393,7 +393,9 @@ fn binomial(n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchPredictionGame, CachedGame};
+    use crate::batch::BatchPredictionGame;
+    use crate::masked::MemoGame;
+    use xai_core::memo::{CoalitionMemo, GameKey};
     use crate::exact::exact_shapley;
     use crate::game::{PredictionGame, TableGame};
 
@@ -611,15 +613,17 @@ mod tests {
 
         // ... and through the memo cache, which must not perturb bits. A
         // second identical run replays the same draws entirely from cache.
-        let cached = CachedGame::new(&batch_game);
+        let memo = CoalitionMemo::new(1 << 10);
+        let key = GameKey::derive(0, &background, &instance);
+        let cached = MemoGame::new(&batch_game, &memo, key);
         let c = kernel_shap(&cached, cfg);
         assert_eq!(a.phi, c.phi);
-        let (_, misses_first) = cached.stats();
+        let misses_first = memo.stats().misses;
         let c2 = kernel_shap(&cached, cfg);
         assert_eq!(a.phi, c2.phi);
-        let (hits, misses) = cached.stats();
-        assert_eq!(misses, misses_first, "second run must be served from cache");
-        assert!(hits >= 5 + 2, "5 coalitions + 2 endpoints must all hit");
+        let stats = memo.stats();
+        assert_eq!(stats.misses, misses_first, "second run must be served from cache");
+        assert!(stats.hits >= 5 + 2, "5 coalitions + 2 endpoints must all hit");
     }
 
     #[test]

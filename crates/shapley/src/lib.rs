@@ -45,7 +45,7 @@ pub mod sampling;
 pub mod tree;
 
 pub use asymmetric::{asymmetric_shapley_exact, asymmetric_shapley_sampled, Precedence};
-pub use batch::{BatchGame, BatchPredictionGame, CachedGame};
+pub use batch::{BatchGame, BatchPredictionGame};
 pub use conditional::{conditional_shapley, ConditionalGame};
 pub use causal::{causal_shapley, effect_decomposition, CausalGame, EffectDecomposition};
 pub use exact::{exact_banzhaf, exact_shapley, shapley_from_table, MAX_EXACT_PLAYERS};

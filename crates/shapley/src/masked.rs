@@ -133,16 +133,16 @@ impl BatchGame for MaskedPredictionGame<'_> {
     }
 }
 
-/// A [`BatchGame`] wrapper over the shared cross-request [`CoalitionMemo`]
-/// — the cross-request generalization of [`crate::CachedGame`]. Lookups
-/// and inserts are keyed under this game's [`GameKey`], so any request
-/// against the same (model, background, instance) triple shares values,
-/// across explainers (Kernel SHAP and permutation walks hit the same
-/// entries) and across serve workers.
+/// A [`BatchGame`] wrapper over a [`CoalitionMemo`]. Lookups and inserts
+/// are keyed under this game's [`GameKey`], so with the serving engine's
+/// shared memo any request against the same (model, background,
+/// instance) triple shares values, across explainers (Kernel SHAP and
+/// permutation walks hit the same entries) and across serve workers; a
+/// memo local to one call deduplicates the coalitions that call repeats.
 ///
-/// Same two-phase structure as `CachedGame`: hits are served under the
-/// memo's lock, distinct misses are evaluated *outside* it in one batched
-/// round, then published. Racing workers may evaluate the same mask twice;
+/// Two phases per call: hits are served under the memo's lock, distinct
+/// misses are evaluated *outside* it in one batched round, then
+/// published. Racing workers may evaluate the same mask twice;
 /// both compute the identical deterministic value, so the duplicate insert
 /// is harmless and output never changes.
 pub struct MemoGame<'a, G: BatchGame + ?Sized> {

@@ -385,7 +385,9 @@ mod tests {
 
     #[test]
     fn batched_matches_scalar_bitwise() {
-        use crate::batch::{BatchPredictionGame, CachedGame};
+        use crate::batch::BatchPredictionGame;
+        use crate::masked::MemoGame;
+        use xai_core::memo::{CoalitionMemo, GameKey};
         use crate::game::PredictionGame;
         use xai_linalg::Matrix;
 
@@ -404,10 +406,12 @@ mod tests {
 
         // The memo cache must not perturb bits either, and walks repeat
         // the empty/grand coalitions every permutation, so it must hit.
-        let cached = CachedGame::new(&batch_game);
+        let memo = CoalitionMemo::new(1 << 10);
+        let key = GameKey::derive(0, &background, &instance);
+        let cached = MemoGame::new(&batch_game, &memo, key);
         let c = permutation_shapley(&cached, 25, 3);
         assert_eq!(a.phi, c.phi);
-        let (hits, misses) = cached.stats();
+        let (hits, misses) = (memo.stats().hits, memo.stats().misses);
         assert!(hits > 0 && misses < 25 * 4, "hits={hits} misses={misses}");
     }
 

@@ -5,11 +5,11 @@
 //! enumerating oracle exactly, Kernel SHAP on a full coalition budget to
 //! 1e-10, and the batched games bit-identically to the scalar game.
 
+use xai_core::memo::{CoalitionMemo, GameKey};
 use xai_linalg::Matrix;
 use xai_models::{batch_regress_fn, regress_fn, LinearRegression};
 use xai_shapley::{
-    exact_shapley, kernel_shap, BatchPredictionGame, CachedGame, KernelShapConfig,
-    PredictionGame,
+    exact_shapley, kernel_shap, BatchPredictionGame, KernelShapConfig, MemoGame, PredictionGame,
 };
 
 const N: usize = 8;
@@ -79,7 +79,8 @@ fn batched_path_passes_the_same_oracles_bit_identically() {
     assert_eq!(scalar.phi, batched.phi, "batched kernel SHAP must be bit-identical");
     assert_eq!(scalar.base_value, batched.base_value);
 
-    let cached = CachedGame::new(&batch_game);
+    let memo = CoalitionMemo::new(1 << N);
+    let cached = MemoGame::new(&batch_game, &memo, GameKey::derive(0, &background, &instance));
     let memoed = kernel_shap(&cached, cfg);
     assert_eq!(scalar.phi, memoed.phi, "memo cache must not perturb bits");
 

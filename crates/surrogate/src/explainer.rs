@@ -19,8 +19,8 @@
 
 use xai_core::backend::dispatch_local;
 use xai_core::shard::{
-    arr_field, chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error,
-    DrawGrid, ShardableExplainer,
+    arr_field, chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget,
+    shard_nums, wire_error, DrawGrid, ShardableExplainer,
 };
 use xai_core::taxonomy::method_card;
 use xai_core::{
@@ -37,25 +37,6 @@ use crate::lime::{self, LimeConfig, LimeExplainer, LimeProbe};
 use crate::pdp::{self, feature_grid};
 use crate::saliency::{integrated_gradients, Differentiable};
 use crate::sp_lime::{self, sp_lime};
-
-fn reject_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
-    if req.plan.budgeted() {
-        return Err(XaiError::Unsupported {
-            context: format!("{method} has no budgeted execution path; clear RunConfig::budget"),
-        });
-    }
-    Ok(())
-}
-
-/// Serializes a finite numeric payload; a non-finite value would write as
-/// JSON `null`, so it is reported as the model fault it is instead of
-/// being silently mangled on the wire.
-fn shard_nums(what: &str, vals: &[f64]) -> XaiResult<Json> {
-    if let Some(v) = vals.iter().find(|v| !v.is_finite()) {
-        return Err(XaiError::ModelFault { context: format!("{what} contains non-finite value {v}") });
-    }
-    Ok(Json::nums(vals))
-}
 
 /// Applies `RunConfig::degradation` to a finished LIME fit — shared by
 /// the direct dispatch and the shard merge so both refuse an escalated

@@ -3,7 +3,7 @@
 #
 # Runs the Shapley bench suite into a temporary directory and diffs every
 # group JSON against the checked-in baselines under
-# crates/bench/target/xai-bench/ with the bench_diff tool. A benchmark
+# crates/bench/baselines/ with the bench_diff tool. A benchmark
 # fails the gate when both its median and its minimum exceed the baseline
 # by more than the threshold (default 10%) — see bench_diff's docs for why
 # both statistics must agree — as does a benchmark that vanished from a
@@ -25,7 +25,10 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 
-BASELINE_DIR="crates/bench/target/xai-bench"
+# Tracked and outside any target/ directory: a plain `cargo bench -p
+# xai-bench` writes its JSON to crates/bench/target/xai-bench/ and
+# `cargo clean` wipes target/, so neither may touch the baselines.
+BASELINE_DIR="crates/bench/baselines"
 THRESHOLD="${XAI_BENCH_GATE_THRESHOLD:-10}"
 
 CANDIDATE_DIR="$(mktemp -d)"
@@ -45,7 +48,7 @@ if [ "${XAI_REGEN_BENCH:-0}" = "1" ]; then
     exit 0
 fi
 
-# A fresh checkout (or a wiped target/) has no baselines to gate
+# A checkout without baseline JSONs has nothing to gate
 # against: that is a warning, not a failure — regenerate and commit
 # baselines to arm the gate.
 if [ ! -d "$BASELINE_DIR" ] || ! ls "$BASELINE_DIR"/*.json >/dev/null 2>&1; then

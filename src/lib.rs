@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::unified::{all_explainers, runnable_registry};
     pub use xai_core::backend::{
         BackendChoice, BackendJob, BackendKind, BackendOutcome, ClusterBackend, ExecutionBackend,
-        LocalBackend, ProcessPoolBackend, ShardCache,
+        LocalBackend, ProcessPoolBackend,
     };
     pub use xai_core::{
         workspace_registry, Counterfactual, DataAttribution, DegradationPolicy, ExplainRequest,

@@ -9,7 +9,9 @@
 //! sequential layout and in the chunk grid `workers > 1` runs at every
 //! worker count, with and without the coalition memo cache.
 
-use xai_core::{ExplainRequest, Explainer, FnOracle, ModelOracle, RunConfig};
+use xai_core::{
+    CoalitionMemo, ExplainRequest, Explainer, FnOracle, GameKey, ModelOracle, RunConfig,
+};
 use xai_data::synth::german_credit;
 use xai_data::Dataset;
 use xai_datavalue::{
@@ -23,8 +25,8 @@ use xai_models::{
     LogisticConfig, LogisticRegression, Mlp, MlpConfig, MlpTask, RandomForest, TreeConfig,
 };
 use xai_shapley::{
-    kernel_shap, permutation_shapley, BatchPredictionGame, CachedGame, KernelShapConfig,
-    KernelShapMethod, PermutationShapleyMethod, PredictionGame,
+    kernel_shap, permutation_shapley, BatchPredictionGame, KernelShapConfig, KernelShapMethod,
+    MemoGame, PermutationShapleyMethod, PredictionGame,
 };
 use xai_surrogate::{
     feature_grid, partial_dependence, LimeConfig, LimeExplainer, LimeMethod, PdpMethod,
@@ -56,7 +58,8 @@ fn assert_explainers_bit_identical<F, B>(
 {
     let scalar_game = PredictionGame::new(f, instance, bg);
     let batch_game = BatchPredictionGame::new(bf, instance, bg);
-    let cached = CachedGame::new(&batch_game);
+    let memo = CoalitionMemo::new(1 << 16);
+    let cached = MemoGame::new(&batch_game, &memo, GameKey::derive(0, bg, instance));
 
     // Kernel SHAP, exact mode (n = 9 → 510 coalitions) and sampling mode.
     for cfg in [
@@ -89,7 +92,7 @@ fn assert_explainers_bit_identical<F, B>(
     );
 
     // Every permutation walk revisits ∅ and N, so the memo must have hit.
-    let (hits, _) = cached.stats();
+    let hits = memo.stats().hits;
     assert!(hits > 0, "{name}: memo cache never hit");
 }
 
