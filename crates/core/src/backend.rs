@@ -1,19 +1,17 @@
 //! Unified execution backends (DESIGN.md §14).
 //!
-//! Three runners grew side by side — the in-process shard runner
-//! ([`crate::shard::explain_sharded`]), the OS-process pool (the facade's
-//! `explain_process_pool`), and the TCP cluster
-//! ([`crate::transport::ClusterRunner`]) — each hand-rolling the same
-//! "cut the request into [`ShardDescriptor`]s, execute them somewhere,
-//! merge the partials bit-identically" loop. This module owns that
-//! contract once: [`ExecutionBackend`] is an object-safe trait over a
-//! [`BackendJob`] (explainer + model + request + shard count), and
-//! [`LocalBackend`], [`ProcessPoolBackend`] and [`ClusterBackend`] are
-//! its three implementations. The legacy entry points are thin
-//! constructors over these types; the serving engine
-//! ([`crate::serve::ExplanationService`]) routes requests through the
-//! same trait, selected by the typed [`BackendChoice`] travelling inside
-//! every [`crate::explainer::RunConfig`].
+//! Running a shard plan means one loop: cut the request into
+//! [`ShardDescriptor`]s, execute them somewhere, merge the partials
+//! bit-identically. [`ExecutionBackend::execute`] over a [`BackendJob`]
+//! (explainer + model + request + shard count) is the one public way to
+//! run it, and [`LocalBackend`] (threads in this process),
+//! [`ProcessPoolBackend`] (`xai-shard-worker` OS processes) and
+//! [`ClusterBackend`] (TCP daemons behind a
+//! [`crate::transport::ClusterRunner`]) are its three implementations.
+//! The serving engine ([`crate::serve::ExplanationService`]) routes
+//! requests through the same trait, selected by the typed
+//! [`BackendChoice`] travelling inside every
+//! [`crate::explainer::RunConfig`].
 //!
 //! The invariant every backend upholds: **the explanation bytes are
 //! identical to the unsharded `Explainer::explain` run** (with
@@ -252,8 +250,9 @@ impl<'a> BackendJob<'a> {
 }
 
 /// What a backend produced: the merged explanation (bit-identical across
-/// backends), whether the run degraded to in-process execution, and how
-/// the shard cache fared during this job.
+/// backends) and whether the run degraded to in-process execution.
+/// Execution counters (transport, sessions, shard cache) live on the
+/// backend that keeps them, e.g. [`ClusterRunner::stats`].
 #[derive(Clone, Debug)]
 pub struct BackendOutcome {
     /// The merged explanation.
@@ -261,15 +260,11 @@ pub struct BackendOutcome {
     /// True when a cluster job fell back to the in-process runner under
     /// [`FallbackPolicy::InProcess`]. The bytes are identical either way.
     pub degraded: bool,
-    /// Shards answered from the shard-level result cache.
-    pub shard_cache_hits: u64,
-    /// Shards that missed the cache and executed for real.
-    pub shard_cache_misses: u64,
 }
 
 impl BackendOutcome {
     fn fresh(explanation: Explanation) -> Self {
-        BackendOutcome { explanation, degraded: false, shard_cache_hits: 0, shard_cache_misses: 0 }
+        BackendOutcome { explanation, degraded: false }
     }
 }
 
@@ -310,7 +305,7 @@ pub fn descriptor_cache_key(desc: &ShardDescriptor) -> (u64, u64) {
 /// The shared dispatch core of the in-process runner: cut the draw grid
 /// into `n_shards` ranges, run `explain_chunks` per shard on the seeded
 /// fork-join executor (`plan.workers` threads), merge in shard order.
-/// `explain_sharded` delegates here, and every shardable method's
+/// [`LocalBackend`] is this function, and every shardable method's
 /// `Explainer::explain` runs its `workers > 1` plans through it with one
 /// shard per worker.
 pub fn dispatch_local(
@@ -565,11 +560,6 @@ impl ProcessPoolBackend {
     pub fn new(pool: PoolConfig) -> Self {
         ProcessPoolBackend { pool }
     }
-
-    /// The pool configuration.
-    pub fn pool(&self) -> &PoolConfig {
-        &self.pool
-    }
 }
 
 impl ExecutionBackend for ProcessPoolBackend {
@@ -620,55 +610,29 @@ impl ExecutionBackend for ClusterBackend {
         BackendKind::Cluster
     }
 
+    /// Builds descriptors, ships them through the runner's supervision
+    /// (retry/hedging/breakers/sessions/cache) and merges bit-identically
+    /// — or degrades to [`dispatch_local`] with a `degraded` marker when
+    /// the whole cluster is unreachable and [`FallbackPolicy::InProcess`]
+    /// allows. Execution failures (typed envelopes from a worker that ran
+    /// the shard) are deterministic and are returned as-is, never retried
+    /// or degraded.
     fn execute(&self, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
-        execute_cluster(&self.runner, job)
-    }
-}
-
-/// The shared cluster dispatch/merge core: build descriptors, ship them
-/// through the runner's supervision (retry/hedging/breakers/sessions/
-/// cache), merge bit-identically — and degrade to [`dispatch_local`]
-/// with a `degraded` marker when the whole cluster is unreachable and
-/// [`FallbackPolicy::InProcess`] allows. Execution failures (typed
-/// envelopes from a worker that ran the shard) are deterministic and are
-/// returned as-is, never retried or degraded.
-pub fn execute_cluster(runner: &ClusterRunner, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
-    let model_json = job.require_model_json("cluster")?;
-    let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
-    let cache_before = runner.stats();
-    let cache_delta = |runner: &ClusterRunner| {
-        let after = runner.stats();
-        (
-            after.shard_cache_hits.saturating_sub(cache_before.shard_cache_hits),
-            after.shard_cache_misses.saturating_sub(cache_before.shard_cache_misses),
-        )
-    };
-    match runner.run_classified(&descs) {
-        Ok(results) => {
-            let explanation = merge_shard_results(job.explainer, job.model, job.req, results)?;
-            let (hits, misses) = cache_delta(runner);
-            Ok(BackendOutcome {
-                explanation,
-                degraded: false,
-                shard_cache_hits: hits,
-                shard_cache_misses: misses,
-            })
+        let model_json = job.require_model_json("cluster")?;
+        let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
+        match self.runner.run_classified(&descs) {
+            Ok(results) => merge_shard_results(job.explainer, job.model, job.req, results)
+                .map(BackendOutcome::fresh),
+            Err(failure) if failure.is_execution() => Err(failure.into_error()),
+            Err(failure) => match self.runner.config().fallback {
+                FallbackPolicy::Fail => Err(failure.into_error()),
+                FallbackPolicy::InProcess => {
+                    let explanation =
+                        dispatch_local(job.explainer, job.model, job.req, job.n_shards)?;
+                    Ok(BackendOutcome { explanation, degraded: true })
+                }
+            },
         }
-        Err(failure) if failure.is_execution() => Err(failure.into_error()),
-        Err(failure) => match runner.config().fallback {
-            FallbackPolicy::Fail => Err(failure.into_error()),
-            FallbackPolicy::InProcess => {
-                runner.mark_degraded();
-                let explanation = dispatch_local(job.explainer, job.model, job.req, job.n_shards)?;
-                let (hits, misses) = cache_delta(runner);
-                Ok(BackendOutcome {
-                    explanation,
-                    degraded: true,
-                    shard_cache_hits: hits,
-                    shard_cache_misses: misses,
-                })
-            }
-        },
     }
 }
 

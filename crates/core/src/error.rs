@@ -266,13 +266,7 @@ impl From<crate::json_parse::ParseError> for XaiError {
 /// `catch_unwind`.
 pub fn catch_model<T>(context: &str, f: impl FnOnce() -> T) -> XaiResult<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
+        let message = xai_rand::parallel::panic_message(payload);
         XaiError::ModelFault { context: format!("{context}: panicked: {message}") }
     })
 }

@@ -33,17 +33,17 @@
 //! - [`shard`] — deterministic shard plans (DESIGN.md §11): an
 //!   estimator's random draws partitioned into serializable
 //!   [`shard::ShardDescriptor`]s whose partials merge bit-identically to
-//!   the unsharded run, in-process or across worker processes;
+//!   the unsharded run;
 //! - [`transport`] — the multi-node shard transport (DESIGN.md §13): a
 //!   zero-dependency length-prefixed TCP protocol shipping descriptors to
 //!   remote daemons, wrapped in a failure-first [`transport::ClusterRunner`]
 //!   with retry, hedging, circuit breaking, and graceful in-process
 //!   degradation;
 //! - [`backend`] — the unified execution substrate (DESIGN.md §14): the
-//!   object-safe [`backend::ExecutionBackend`] trait with
-//!   [`backend::LocalBackend`], [`backend::ProcessPoolBackend`] and
-//!   [`backend::ClusterBackend`] implementations, all merging shard
-//!   partials bit-identically.
+//!   object-safe [`backend::ExecutionBackend`] trait, the one way to run a
+//!   shard plan, with [`backend::LocalBackend`],
+//!   [`backend::ProcessPoolBackend`] and [`backend::ClusterBackend`]
+//!   implementations, all merging shard partials bit-identically.
 
 pub mod backend;
 pub mod cache;
@@ -61,8 +61,8 @@ pub mod transport;
 pub mod validate;
 
 pub use backend::{
-    dispatch_local, execute_cluster, BackendChoice, BackendJob, BackendKind, BackendOutcome,
-    ClusterBackend, ExecutionBackend, LocalBackend, PoolConfig, ProcessPoolBackend,
+    dispatch_local, BackendChoice, BackendJob, BackendKind, BackendOutcome, ClusterBackend,
+    ExecutionBackend, LocalBackend, PoolConfig, ProcessPoolBackend,
 };
 pub use cache::{CacheStats, Lru};
 pub use error::{catch_model, BudgetMeter, IoKind, SampleBudget, XaiError, XaiResult};
@@ -80,13 +80,12 @@ pub use serve::{
     fingerprint_bytes, ExplanationService, ServeRequest, ServeResponse, ServeStats, ServiceConfig,
 };
 pub use shard::{
-    build_descriptors, execute_descriptor, explain_sharded, merge_shard_results, shard_chunk_ranges,
-    DrawGrid, ShardDescriptor, ShardResult, ShardableExplainer,
+    build_descriptors, execute_descriptor, merge_shard_results, shard_chunk_ranges, DrawGrid,
+    ShardDescriptor, ShardResult, ShardableExplainer,
 };
 pub use transport::{
-    explain_cluster, read_frame, serve_connection, write_frame, BreakerState, ClusterConfig,
-    ClusterOutcome, ClusterRunner, ClusterStats, EndpointHealth, FallbackPolicy, HealthTracker,
-    RetryPolicy, FRAME_MAGIC, MAX_FRAME_BYTES,
+    read_frame, serve_connection, write_frame, BreakerState, ClusterConfig, ClusterRunner,
+    ClusterStats, EndpointHealth, FallbackPolicy, RetryPolicy, FRAME_MAGIC, MAX_FRAME_BYTES,
 };
 pub use taxonomy::{
     method_card, workspace_registry, Access, ExplanationForm, MethodCard, Registry, Scope,

@@ -41,7 +41,6 @@
 //! estimate (the PR 4 fault layer), so a deadline on a serving request
 //! degrades gracefully instead of timing out the worker.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +49,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use xai_data::Dataset;
+use xai_rand::parallel::panic_message;
 
 use crate::cache::Lru;
 use crate::error::{SampleBudget, XaiError, XaiResult};
@@ -689,7 +689,9 @@ impl Default for ServiceConfig {
 /// number of admitted submissions, and `cache_hits + cache_misses` also
 /// equals it — the cache is consulted exactly once per executed request.
 /// `rejected` counts [`XaiError::QueueFull`] admissions failures, which
-/// never reach the queue or the cache.
+/// never reach the queue or the cache. Shard-cache counters are not
+/// copied here: the cluster runner that owns the shard cache reports
+/// them ([`crate::transport::ClusterRunner::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests admitted to the queue.
@@ -733,10 +735,6 @@ pub struct ServeStats {
     /// Requests whose cluster execution fell back in-process under
     /// [`FallbackPolicy::InProcess`](crate::transport::FallbackPolicy).
     pub degraded: u64,
-    /// Shard results answered from a backend's shard-level result cache.
-    pub shard_cache_hits: u64,
-    /// Shard results computed because the shard cache had no entry.
-    pub shard_cache_misses: u64,
 }
 
 impl ServeStats {
@@ -760,8 +758,6 @@ impl ServeStats {
             ("cluster_completed", Json::Num(self.cluster_completed as f64)),
             ("cluster_failed", Json::Num(self.cluster_failed as f64)),
             ("degraded", Json::Num(self.degraded as f64)),
-            ("shard_cache_hits", Json::Num(self.shard_cache_hits as f64)),
-            ("shard_cache_misses", Json::Num(self.shard_cache_misses as f64)),
         ])
     }
 }
@@ -858,8 +854,6 @@ struct StatCells {
     cluster_completed: AtomicU64,
     cluster_failed: AtomicU64,
     degraded: AtomicU64,
-    shard_cache_hits: AtomicU64,
-    shard_cache_misses: AtomicU64,
 }
 
 struct Inner {
@@ -880,16 +874,6 @@ struct Inner {
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_text(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".to_string()
-    }
 }
 
 /// The in-process explanation-serving engine; see the module docs for
@@ -1024,8 +1008,6 @@ impl ExplanationService {
             cluster_completed: s.cluster_completed.load(Ordering::SeqCst),
             cluster_failed: s.cluster_failed.load(Ordering::SeqCst),
             degraded: s.degraded.load(Ordering::SeqCst),
-            shard_cache_hits: s.shard_cache_hits.load(Ordering::SeqCst),
-            shard_cache_misses: s.shard_cache_misses.load(Ordering::SeqCst),
         }
     }
 
@@ -1184,7 +1166,7 @@ fn worker_loop(inner: &Inner, worker_index: usize) {
         let Some(job) = job else { return };
         let result = catch_unwind(AssertUnwindSafe(|| execute(inner, &job.request)))
             .unwrap_or_else(|payload| {
-                Err(XaiError::WorkerPanic { task: worker_index, message: panic_text(payload) })
+                Err(XaiError::WorkerPanic { task: worker_index, message: panic_message(payload) })
             });
         match &result {
             Ok(_) => inner.stats.completed.fetch_add(1, Ordering::SeqCst),
@@ -1275,8 +1257,6 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
         if outcome.degraded {
             inner.stats.degraded.fetch_add(1, Ordering::SeqCst);
         }
-        inner.stats.shard_cache_hits.fetch_add(outcome.shard_cache_hits, Ordering::SeqCst);
-        inner.stats.shard_cache_misses.fetch_add(outcome.shard_cache_misses, Ordering::SeqCst);
         (outcome.explanation, outcome.degraded)
     };
 

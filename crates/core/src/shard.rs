@@ -27,8 +27,9 @@
 //!   [`crate::serve::ServeRequest`]) that let a shard run in another OS
 //!   process — or, later, on another machine — and ship its partial
 //!   back.
-//! - [`explain_sharded`] — the in-process runner: shards execute as
-//!   tasks on the existing fork-join executor and merge locally.
+//! - [`crate::backend::ExecutionBackend`] runs a shard plan: in-process
+//!   ([`crate::backend::LocalBackend`], shards as tasks on the fork-join
+//!   executor), across OS processes or across TCP daemons.
 //! - [`execute_descriptor`] — the worker side of a process pool:
 //!   rebuild the request from a descriptor, run the chunk range, return
 //!   the result. The process-pool runner itself lives in
@@ -240,24 +241,6 @@ pub trait ShardableExplainer: Explainer {
     /// The method configuration as canonical JSON, so a descriptor can
     /// reconstruct this explainer in another process.
     fn config_json(&self) -> Json;
-}
-
-// ---------------------------------------------------------------------------
-// In-process runner
-// ---------------------------------------------------------------------------
-
-/// Runs a shard plan in-process: shards become tasks on the fork-join
-/// executor (`plan.workers` threads), partials are merged in shard
-/// order. Bit-identical to `explainer.explain(model, req)` with
-/// `workers > 1`, at any `n_shards`.
-pub fn explain_sharded(
-    explainer: &dyn ShardableExplainer,
-    model: &dyn ModelOracle,
-    req: &ExplainRequest<'_>,
-    n_shards: usize,
-) -> XaiResult<Explanation> {
-    // Thin constructor over the shared dispatch core (DESIGN.md §14).
-    crate::backend::dispatch_local(explainer, model, req, n_shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +670,8 @@ pub fn fingerprint_hex(bytes: &[u8]) -> String {
 /// hashed from its canonical bytes). Requests carrying borrowed state
 /// that cannot travel — an explicit background matrix, a test set, a
 /// caller-supplied utility — are rejected as [`XaiError::Unsupported`];
-/// such runs can still shard in-process via [`explain_sharded`].
+/// such runs can still shard in-process via
+/// [`crate::backend::LocalBackend`].
 pub fn build_descriptors(
     explainer: &dyn ShardableExplainer,
     req: &ExplainRequest<'_>,
@@ -699,7 +683,7 @@ pub fn build_descriptors(
         return Err(XaiError::Unsupported {
             context: "process-pool sharding needs a self-contained request; \
                       explicit background/test/utility references cannot travel in a descriptor \
-                      (use explain_sharded for in-process sharding)"
+                      (use LocalBackend for in-process sharding)"
                 .into(),
         });
     }
@@ -799,7 +783,8 @@ pub fn order_partials(results: Vec<ShardResult>) -> XaiResult<Vec<Json>> {
 }
 
 /// Orders a result set and runs the merge epilogue. The counterpart of
-/// [`explain_sharded`] for partials gathered from worker processes.
+/// [`crate::backend::dispatch_local`] for partials gathered from worker
+/// processes.
 pub fn merge_shard_results(
     explainer: &dyn ShardableExplainer,
     model: &dyn ModelOracle,

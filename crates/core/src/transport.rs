@@ -5,9 +5,13 @@
 //! merge **bit-identically** to the unsharded run. This module moves
 //! those descriptors between machines: a zero-dependency length-prefixed
 //! TCP protocol (std `TcpListener`/`TcpStream` only) carries one
-//! descriptor per connection to a remote `xai-shard-worker --listen`
+//! descriptor per request frame to a remote `xai-shard-worker --listen`
 //! daemon and one [`ShardResult`] — or a typed shard error envelope —
-//! back.
+//! back. The [`ClusterRunner`] supervises that traffic and keeps the
+//! execution counters ([`ClusterRunner::stats`]); callers run a shard
+//! plan on it through [`crate::backend::ClusterBackend`], the
+//! [`crate::backend::ExecutionBackend`] that owns the merge and the
+//! fallback decision.
 //!
 //! Connections are **reused**: each endpoint keeps a pool of idle
 //! persistent framed sessions, so a runner shipping many descriptors
@@ -40,11 +44,11 @@
 //!   re-opens the breaker. Shards route around open endpoints, so a dead
 //!   machine stops eating retry budget.
 //! - **Graceful degradation**: when the entire cluster is unreachable and
-//!   [`FallbackPolicy::InProcess`] allows it, the run falls back to the
-//!   local [`crate::backend::dispatch_local`] runner and the outcome carries a
-//!   `degraded` marker. The *bytes* of the explanation are identical
-//!   either way — degradation changes where work ran, never what it
-//!   computed.
+//!   [`FallbackPolicy::InProcess`] allows it, the backend falls back to
+//!   the local [`crate::backend::dispatch_local`] runner and the outcome
+//!   carries a `degraded` marker. The *bytes* of the explanation are
+//!   identical either way — degradation changes where work ran, never
+//!   what it computed.
 //!
 //! Failure classes stay distinguishable end to end: connection refused is
 //! `Io`/[`IoKind::Refused`], a mid-stream disconnect is `Io`/
@@ -65,14 +69,11 @@ use std::time::{Duration, Instant};
 
 use xai_rand::{child_seed, SplitMix64};
 
-use crate::backend::{descriptor_cache_key, BackendJob};
+use crate::backend::descriptor_cache_key;
 use crate::cache::Lru;
 use crate::error::{IoKind, XaiError, XaiResult};
-use crate::explainer::{ExplainRequest, Explanation, ModelOracle};
-use crate::report::Json;
 use crate::shard::{
     error_from_json, error_to_json, is_error_envelope, wire_error, ShardDescriptor, ShardResult,
-    ShardableExplainer,
 };
 
 // ---------------------------------------------------------------------------
@@ -252,7 +253,7 @@ struct EndpointSlot {
 }
 
 /// Shared per-endpoint health book-keeping for one [`ClusterRunner`].
-pub struct HealthTracker {
+pub(crate) struct HealthTracker {
     addrs: Vec<String>,
     threshold: usize,
     cooldown: Duration,
@@ -262,7 +263,7 @@ pub struct HealthTracker {
 impl HealthTracker {
     /// A tracker over `addrs` tripping after `threshold` consecutive
     /// failures, probing again after `cooldown`.
-    pub fn new(addrs: Vec<String>, threshold: usize, cooldown: Duration) -> Self {
+    fn new(addrs: Vec<String>, threshold: usize, cooldown: Duration) -> Self {
         assert!(threshold >= 1, "breaker threshold must be at least 1");
         let slots = addrs
             .iter()
@@ -286,7 +287,7 @@ impl HealthTracker {
     /// breaker admits; an open one admits a single half-open probe once
     /// the cooldown has elapsed; a half-open one is already probing, so
     /// further traffic keeps routing around it.
-    pub fn admit(&self, i: usize) -> bool {
+    fn admit(&self, i: usize) -> bool {
         let mut slots = self.lock();
         let slot = &mut slots[i];
         match slot.state {
@@ -306,7 +307,7 @@ impl HealthTracker {
     }
 
     /// Records a successful round trip: the breaker re-closes.
-    pub fn record_success(&self, i: usize) {
+    fn record_success(&self, i: usize) {
         let mut slots = self.lock();
         let slot = &mut slots[i];
         slot.successes += 1;
@@ -318,7 +319,7 @@ impl HealthTracker {
     /// Records a transport failure: a failed half-open probe re-opens
     /// immediately; a closed breaker trips once `threshold` consecutive
     /// failures accumulate.
-    pub fn record_failure(&self, i: usize) {
+    fn record_failure(&self, i: usize) {
         let mut slots = self.lock();
         let slot = &mut slots[i];
         slot.failures += 1;
@@ -336,7 +337,7 @@ impl HealthTracker {
     }
 
     /// Snapshot of every endpoint's health.
-    pub fn snapshot(&self) -> Vec<EndpointHealth> {
+    fn snapshot(&self) -> Vec<EndpointHealth> {
         let slots = self.lock();
         self.addrs
             .iter()
@@ -445,8 +446,6 @@ pub struct ClusterStats {
     pub transport_failures: u64,
     /// Breaker trips across all endpoints.
     pub breaker_trips: u64,
-    /// Whether the last `explain` fell back to the in-process runner.
-    pub degraded: bool,
     /// Fresh TCP connections opened (handshakes paid).
     pub connections_opened: u64,
     /// Round trips that started on a pooled persistent session.
@@ -464,7 +463,6 @@ struct Counters {
     hedges: AtomicU64,
     hedge_wins: AtomicU64,
     transport_failures: AtomicU64,
-    degraded: AtomicU64,
     connections_opened: AtomicU64,
     sessions_reused: AtomicU64,
 }
@@ -648,21 +646,6 @@ fn roundtrip(
 // The cluster runner
 // ---------------------------------------------------------------------------
 
-/// The outcome of a cluster-transported explanation: the explanation
-/// itself (bit-identical to the unsharded run whether it came over the
-/// wire or from the fallback), whether the run degraded to in-process
-/// execution, and the transport statistics.
-#[derive(Clone, Debug)]
-pub struct ClusterOutcome {
-    /// The merged explanation.
-    pub explanation: Explanation,
-    /// True when the cluster was unavailable and the run fell back to
-    /// the local in-process runner under [`FallbackPolicy::InProcess`].
-    pub degraded: bool,
-    /// Transport counters at completion.
-    pub stats: ClusterStats,
-}
-
 /// Failure-first coordinator for shard execution across TCP endpoints.
 /// See the module docs for the supervision design.
 pub struct ClusterRunner {
@@ -732,18 +715,11 @@ impl ClusterRunner {
             hedge_wins: self.counters.hedge_wins.load(Ordering::Relaxed),
             transport_failures: self.counters.transport_failures.load(Ordering::Relaxed),
             breaker_trips: self.health.snapshot().iter().map(|h| h.trips).sum(),
-            degraded: self.counters.degraded.load(Ordering::Relaxed) > 0,
             connections_opened: self.counters.connections_opened.load(Ordering::Relaxed),
             sessions_reused: self.counters.sessions_reused.load(Ordering::Relaxed),
             shard_cache_hits: cache.hits,
             shard_cache_misses: cache.misses,
         }
-    }
-
-    /// Marks the runner's last run as degraded (set by the backend layer
-    /// when a job falls back to in-process execution).
-    pub(crate) fn mark_degraded(&self) {
-        self.counters.degraded.store(1, Ordering::Relaxed);
     }
 
     /// First admittable endpoint scanning from `start`, skipping
@@ -924,8 +900,8 @@ impl ClusterRunner {
     }
 
     /// Runs every descriptor, keeping the transport/execution failure
-    /// classification — the dispatch core shared with
-    /// [`crate::backend::execute_cluster`].
+    /// classification that [`crate::backend::ClusterBackend`] needs for
+    /// its fallback decision. Results come back in shard order.
     pub(crate) fn run_classified(
         &self,
         descs: &[ShardDescriptor],
@@ -949,55 +925,6 @@ impl ClusterRunner {
         // wins deterministically, independent of scheduling.
         outcomes.into_iter().collect()
     }
-
-    /// Executes pre-built descriptors across the cluster and returns the
-    /// results in shard order. The transport primitive under
-    /// [`ClusterRunner::explain`]; no fallback is applied here.
-    pub fn run_descriptors(&self, descs: &[ShardDescriptor]) -> XaiResult<Vec<ShardResult>> {
-        self.run_classified(descs).map_err(ShardFailure::into_error)
-    }
-
-    /// The whole story: cut the request into `n_shards` descriptors, ship
-    /// them to the cluster with retry/hedging/breaker supervision, merge
-    /// the results bit-identically to the unsharded run — and, when the
-    /// cluster is entirely unavailable and policy allows, fall back to
-    /// the in-process runner with a `degraded` marker. A thin constructor
-    /// over the shared backend core
-    /// ([`crate::backend::execute_cluster`]).
-    ///
-    /// `model_json` is the model's persisted form (it travels inside each
-    /// descriptor); requests carrying borrowed background/test/utility
-    /// state are rejected exactly as in
-    /// [`crate::shard::build_descriptors`].
-    pub fn explain(
-        &self,
-        explainer: &dyn ShardableExplainer,
-        model: &dyn ModelOracle,
-        req: &ExplainRequest<'_>,
-        model_json: Json,
-        n_shards: usize,
-    ) -> XaiResult<ClusterOutcome> {
-        let job =
-            BackendJob::new(explainer, model, req, n_shards).with_model_json(model_json);
-        let outcome = crate::backend::execute_cluster(self, &job)?;
-        Ok(ClusterOutcome {
-            explanation: outcome.explanation,
-            degraded: outcome.degraded,
-            stats: self.stats(),
-        })
-    }
-}
-
-/// One-shot convenience over [`ClusterRunner::explain`].
-pub fn explain_cluster(
-    explainer: &dyn ShardableExplainer,
-    model: &dyn ModelOracle,
-    req: &ExplainRequest<'_>,
-    model_json: Json,
-    n_shards: usize,
-    config: &ClusterConfig,
-) -> XaiResult<ClusterOutcome> {
-    ClusterRunner::new(config.clone())?.explain(explainer, model, req, model_json, n_shards)
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@
 //! whose chunk payloads are pure functions of `child_seed(seed, chunk)`,
 //! so every property is exercised without the cost of a real estimator.
 
+use xai_core::backend::dispatch_local;
 use xai_core::shard::{
-    build_descriptors, chunks_json, execute_descriptor, explain_sharded, flatten_chunks,
-    merge_shard_results, num_field, shard_chunk_ranges, DrawGrid, ShardDescriptor, ShardResult,
-    ShardableExplainer,
+    build_descriptors, chunks_json, execute_descriptor, flatten_chunks, merge_shard_results,
+    num_field, shard_chunk_ranges, DrawGrid, ShardDescriptor, ShardResult, ShardableExplainer,
 };
 use xai_core::taxonomy::method_card;
 use xai_core::{
@@ -221,7 +221,7 @@ fn in_process_sharding_matches_at_every_shard_count() {
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(3).with_workers(2));
     let reference = method.explain(&model, &req).unwrap().to_json_string();
     for n_shards in [1usize, 2, 4, 7, 11, 29] {
-        let sharded = explain_sharded(&method, &model, &req, n_shards).unwrap();
+        let sharded = dispatch_local(&method, &model, &req, n_shards).unwrap();
         assert_eq!(sharded.to_json_string(), reference, "n_shards={n_shards}");
     }
 }

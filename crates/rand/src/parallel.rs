@@ -47,8 +47,11 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// Extracts a human-readable message from a `catch_unwind` payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a human-readable message from a `catch_unwind` payload: the
+/// `&str` or `String` the panic was raised with, or a fixed fallback for
+/// any other payload type. The one copy every panic boundary in the
+/// workspace uses.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -66,8 +66,10 @@ fn main() {
     let stats = service.stats();
     println!(
         "serve stats: local {} / pool {} / cluster {} completed, {} shard-cache misses",
-        stats.local_completed, stats.pool_completed, stats.cluster_completed,
-        stats.shard_cache_misses
+        stats.local_completed,
+        stats.pool_completed,
+        stats.cluster_completed,
+        runner.stats().shard_cache_misses
     );
 
     // ── 3. The trait driven directly, cache and sessions visible ────
@@ -89,6 +91,7 @@ fn main() {
     }
     // The identical cluster job again: answered from the shard cache
     // over reused sessions.
+    let hits_before = runner.stats().shard_cache_hits;
     let job = BackendJob::new(&method, &model, &req, 4).with_model_json(model.save());
     let outcome = backends[2].execute(&job).unwrap();
     assert_eq!(outcome.explanation.to_json_string(), reference);
@@ -96,6 +99,8 @@ fn main() {
     println!(
         "repeat cluster job: {} shard-cache hits, {} sessions reused, \
          {} connections ever opened",
-        outcome.shard_cache_hits, stats.sessions_reused, stats.connections_opened
+        stats.shard_cache_hits - hits_before,
+        stats.sessions_reused,
+        stats.connections_opened
     );
 }

@@ -1,7 +1,7 @@
 //! Cluster-transported explanation runs (DESIGN.md §13): two local
-//! `xai-shard-worker --listen` daemons on loopback, a failure-first
-//! `ClusterRunner` shipping shard descriptors to them over the
-//! length-prefixed TCP protocol, and the merged explanation asserted
+//! `xai-shard-worker --listen` daemons on loopback, a `ClusterBackend`
+//! whose failure-first `ClusterRunner` ships shard descriptors to them
+//! over the length-prefixed TCP protocol, and the merged explanation asserted
 //! bit-identical to the single-machine run — then a demonstration of
 //! graceful degradation when every endpoint is unreachable.
 //!
@@ -51,9 +51,11 @@ fn main() {
 
     // ── 3. Cluster execution at several shard counts ────────────────
     let config = ClusterConfig::new(daemons.iter().map(|d| d.addr().to_string()));
-    let runner = ClusterRunner::new(config).unwrap();
+    let cluster = ClusterBackend::from_config(config).unwrap();
+    let runner = cluster.runner();
     for n_shards in [1usize, 2, 4, 7] {
-        let outcome = runner.explain(&method, &model, &req, model.save(), n_shards).unwrap();
+        let job = BackendJob::new(&method, &model, &req, n_shards).with_model_json(model.save());
+        let outcome = cluster.execute(&job).unwrap();
         assert_eq!(outcome.explanation.to_json_string(), reference_bytes);
         assert!(!outcome.degraded);
         println!("cluster n_shards = {n_shards}: bit-identical to the reference");
@@ -73,13 +75,14 @@ fn main() {
     dead_config.connect_timeout = Duration::from_millis(500);
     dead_config.retry.max_attempts = 2;
     dead_config.fallback = FallbackPolicy::InProcess;
-    let dead_runner = ClusterRunner::new(dead_config).unwrap();
-    let outcome = dead_runner.explain(&method, &model, &req, model.save(), 4).unwrap();
+    let dead = ClusterBackend::from_config(dead_config).unwrap();
+    let job = BackendJob::new(&method, &model, &req, 4).with_model_json(model.save());
+    let outcome = dead.execute(&job).unwrap();
     assert_eq!(outcome.explanation.to_json_string(), reference_bytes);
     assert!(outcome.degraded);
     println!(
         "\ncluster gone: degraded to the in-process runner ({} transport failures), \
          same bytes.",
-        outcome.stats.transport_failures
+        dead.runner().stats().transport_failures
     );
 }

@@ -1,7 +1,7 @@
 //! Sharded explanation runs (DESIGN.md §11): one estimation job split
 //! into deterministic shards, executed three ways — unsharded, sharded
-//! in-process, and sharded across OS processes — all producing the
-//! same bytes.
+//! in-process (`LocalBackend`), and sharded across OS processes
+//! (`ProcessPoolBackend`) — all producing the same bytes.
 //!
 //! The shard plan partitions the estimator's *random draws* (here the
 //! sampled coalitions of Kernel SHAP), so each shard replays exactly
@@ -16,9 +16,7 @@
 //! binary exists for the process-pool leg.)
 
 use xai::prelude::*;
-use xai::shard::{
-    build_descriptors, explain_process_pool, explain_sharded, sibling_worker_exe, PoolConfig,
-};
+use xai::shard::{build_descriptors, sibling_worker_exe};
 use xai_models::Persist;
 
 fn main() {
@@ -49,7 +47,8 @@ fn main() {
 
     // ── 3. In-process sharded execution, several shard counts ───────
     for n_shards in [1usize, 2, 4, 7] {
-        let sharded = explain_sharded(&method, &model, &req, n_shards).unwrap();
+        let job = BackendJob::new(&method, &model, &req, n_shards);
+        let sharded = LocalBackend.execute(&job).unwrap().explanation;
         assert_eq!(sharded.to_json_string(), reference_bytes);
         println!("in-process  n_shards = {n_shards}: bit-identical to the reference");
     }
@@ -61,9 +60,10 @@ fn main() {
         println!("run `cargo build` first to exercise the process-pool leg.");
         return;
     };
-    let pool = PoolConfig::new(worker);
+    let pool = ProcessPoolBackend::new(PoolConfig::new(worker));
     for n_shards in [2usize, 4] {
-        let pooled = explain_process_pool(&method, &model, &req, n_shards, &pool).unwrap();
+        let job = BackendJob::new(&method, &model, &req, n_shards).with_model_json(model.save());
+        let pooled = pool.execute(&job).unwrap().explanation;
         assert_eq!(pooled.to_json_string(), reference_bytes);
         println!("process pool n_shards = {n_shards}: bit-identical to the reference");
     }

@@ -59,28 +59,6 @@ cargo run --release --example cluster_demo >/dev/null
 echo "==> cargo run --release --example backend_demo"
 cargo run --release --example backend_demo >/dev/null
 
-# Execution-substrate call-site gate (DESIGN.md §14): new code must go
-# through the ExecutionBackend trait, not call the raw process-pool or
-# cluster dispatch loops directly. Blessed: the backend module and the
-# transport internals that implement it, the facade convenience wrapper,
-# and the pre-backend shard suites that pin the raw runners' semantics.
-echo "==> backend call-site gate (explain_process_pool / run_descriptors)"
-VIOLATIONS="$(grep -rn --include='*.rs' -E 'explain_process_pool\(|\.run_descriptors\(' \
-    src crates tests examples \
-    | grep -v -e '^src/shard\.rs:' \
-              -e '^crates/core/src/backend\.rs:' \
-              -e '^crates/core/src/transport\.rs:' \
-              -e '^examples/shard_demo\.rs:' \
-              -e '^tests/shard_faults\.rs:' \
-              -e '^tests/shard_equivalence\.rs:' \
-    || true)"
-if [ -n "$VIOLATIONS" ]; then
-    echo "ci.sh: direct process-pool/cluster dispatch outside the backend layer:" >&2
-    echo "$VIOLATIONS" >&2
-    echo "ci.sh: route new callers through xai_core::backend::ExecutionBackend" >&2
-    exit 1
-fi
-
 # Advisory unwrap/expect audit over the library crates' non-test code.
 # Warnings only, never a gate: the panicking convenience APIs are
 # intentional `.expect` wrappers over their `try_*` twins (DESIGN.md §8),

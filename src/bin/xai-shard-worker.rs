@@ -2,12 +2,14 @@
 //!
 //! - **stdin mode** (no arguments): reads one `ShardDescriptor` as JSON
 //!   on stdin, writes one canonical `ShardResult` (or a shard error
-//!   envelope) on stdout. Spawned by `xai::shard::explain_process_pool`;
-//!   see DESIGN.md §11.
+//!   envelope) on stdout. Spawned by
+//!   `xai::core::backend::ProcessPoolBackend`; see DESIGN.md §11.
 //! - **daemon mode** (`--listen addr:port`): serves descriptors over the
-//!   length-prefixed TCP shard transport, one per connection, until
-//!   killed. Use port `0` for an ephemeral port; the bound address is
-//!   announced as `listening on {addr}` on stdout. See DESIGN.md §13.
+//!   length-prefixed TCP shard transport, a persistent session per
+//!   connection, until killed. Driven by
+//!   `xai::core::backend::ClusterBackend`. Use port `0` for an ephemeral
+//!   port; the bound address is announced as `listening on {addr}` on
+//!   stdout. See DESIGN.md §13.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -30,7 +30,7 @@
 //! | [`provenance`] | semirings, relational engine, tuple Shapley, Rain, PrIU |
 //! | [`unified`] | the runnable registry: every method behind one trait |
 //! | [`serve`] | the explanation-serving engine: requests as JSON, worker pool, result cache |
-//! | [`shard`] | deterministic shard plans and the process-pool runner (DESIGN.md §11) |
+//! | [`shard`] | deterministic shard plans, the method/model factories and the shard worker (DESIGN.md §11) |
 //! | [`transport`] | the multi-node TCP shard transport and daemon (DESIGN.md §13) |
 //! | [`core::backend`] | the unified `ExecutionBackend` substrate: local, process-pool, cluster (DESIGN.md §14) |
 //!
@@ -87,13 +87,9 @@ pub mod prelude {
         register_persist, workspace_service, ExplanationService, ServeRequest, ServeResponse,
         ServeStats, ServiceConfig,
     };
-    pub use crate::shard::{
-        explain_process_pool, explain_sharded, shardable, PoolConfig, ShardDescriptor,
-        ShardResult, ShardableExplainer,
-    };
+    pub use crate::shard::{shardable, PoolConfig, ShardDescriptor, ShardResult, ShardableExplainer};
     pub use crate::transport::{
-        explain_cluster, ClusterConfig, ClusterOutcome, ClusterRunner, ClusterStats, DaemonHandle,
-        FallbackPolicy, RetryPolicy,
+        ClusterConfig, ClusterRunner, ClusterStats, DaemonHandle, FallbackPolicy, RetryPolicy,
     };
     pub use crate::unified::{all_explainers, runnable_registry};
     pub use xai_core::backend::{

@@ -11,20 +11,20 @@
 //! - [`PersistedModel`] / [`resolve_model`] — rebuild any persisted
 //!   workspace model from its descriptor JSON, usable as a
 //!   [`ModelOracle`].
-//! - [`explain_process_pool`] — a thin convenience over
-//!   [`xai_core::backend::ProcessPoolBackend`]: one OS process per shard
-//!   (waves of `max_procs`), descriptor on the worker's stdin, canonical
-//!   result or error envelope on its stdout, typed errors for every
-//!   worker failure mode and a hard deadline so a stuck worker can never
-//!   hang the caller.
 //! - [`run_worker`] — the worker side, wrapped by the
 //!   `xai-shard-worker` binary: parse, execute, answer. A worker exits 0
 //!   even on typed failures (the error travels in the envelope); only
 //!   catastrophic states exit non-zero.
 //!
+//! The coordinator side is [`xai_core::backend::ProcessPoolBackend`]:
+//! one OS process per shard (waves of `max_procs`), descriptor on the
+//! worker's stdin, canonical result or error envelope on its stdout,
+//! typed errors for every worker failure mode and a hard deadline so a
+//! stuck worker can never hang the caller.
+//!
 //! ```no_run
+//! use xai::models::Persist;
 //! use xai::prelude::*;
-//! use xai::shard::{explain_process_pool, PoolConfig};
 //!
 //! let data = xai::data::synth::german_credit(80, 7);
 //! let model = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
@@ -33,8 +33,9 @@
 //!     .instance(&row)
 //!     .plan(RunConfig::seeded(7).with_workers(2));
 //! let method = KernelShapMethod::default();
-//! let pool = PoolConfig::new("target/debug/xai-shard-worker");
-//! let sharded = explain_process_pool(&method, &model, &req, 4, &pool).unwrap();
+//! let pool = ProcessPoolBackend::new(PoolConfig::new("target/debug/xai-shard-worker"));
+//! let job = BackendJob::new(&method, &model, &req, 4).with_model_json(model.save());
+//! let sharded = pool.execute(&job).unwrap().explanation;
 //! let local = method.explain(&model, &req).unwrap();
 //! assert_eq!(sharded.to_json_string(), local.to_json_string());
 //! ```
@@ -43,9 +44,9 @@ use std::io::Read;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use xai_core::backend::{BackendJob, ExecutionBackend, ProcessPoolBackend};
-use xai_core::{ExplainRequest, Explanation, Json, ModelOracle, XaiError, XaiResult};
+use xai_core::{Json, ModelOracle, XaiError, XaiResult};
 use xai_models::Persist;
+use xai_rand::parallel::panic_message;
 
 pub use xai_core::backend::PoolConfig;
 pub use xai_core::shard::*;
@@ -155,40 +156,8 @@ pub fn resolve_model(json: &Json) -> XaiResult<PersistedModel> {
 }
 
 // ---------------------------------------------------------------------------
-// Process pool
-// ---------------------------------------------------------------------------
-
-/// Runs a shard plan across OS processes — a thin convenience over
-/// [`ProcessPoolBackend`] for callers holding a typed [`Persist`] model.
-/// The backend cuts the request into descriptors, executes them in waves
-/// of [`PoolConfig::max_procs`] worker processes (descriptor on stdin,
-/// result on stdout), then merges the partials — bit-identical to
-/// `explainer.explain(model, req)` on the parallel path, at any shard
-/// count. Worker failure modes all surface as typed errors, never a
-/// hang; see the backend docs for the full taxonomy.
-pub fn explain_process_pool<M: ModelOracle + Persist>(
-    explainer: &dyn ShardableExplainer,
-    model: &M,
-    req: &ExplainRequest<'_>,
-    n_shards: usize,
-    pool: &PoolConfig,
-) -> XaiResult<Explanation> {
-    let backend = ProcessPoolBackend::new(pool.clone());
-    let job = BackendJob::new(explainer, model, req, n_shards).with_model_json(model.save());
-    Ok(backend.execute(&job)?.explanation)
-}
-
-// ---------------------------------------------------------------------------
 // The worker side
 // ---------------------------------------------------------------------------
-
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "shard worker panicked".into())
-}
 
 /// Executes one wire-form descriptor end to end: parse, rebuild the
 /// model (verifying the fingerprint), rebuild the method, run the chunk
@@ -206,6 +175,23 @@ pub fn execute_wire_text(input: &str) -> XaiResult<ShardResult> {
     }
     let explainer = shardable(&desc.method, &desc.config)?;
     execute_descriptor(&desc, explainer.as_ref(), &model)
+}
+
+/// [`execute_wire_text`] with panics caught: a panic becomes a typed
+/// [`XaiError::WorkerPanic`] (task 0; the coordinator pins the shard
+/// index), so the stdin worker and the TCP daemon answer with a
+/// `worker_panic` envelope instead of dying. `injected_panic`, when set,
+/// is raised in place of execution (the fault-injection hooks).
+pub(crate) fn execute_caught(text: &str, injected_panic: Option<&str>) -> XaiResult<ShardResult> {
+    std::panic::catch_unwind(|| {
+        if let Some(message) = injected_panic {
+            panic!("{message}");
+        }
+        execute_wire_text(text)
+    })
+    .unwrap_or_else(|payload| {
+        Err(XaiError::WorkerPanic { task: 0, message: panic_message(payload) })
+    })
 }
 
 /// The `xai-shard-worker` entry point: read one [`ShardDescriptor`] from
@@ -236,19 +222,10 @@ pub fn run_worker() -> i32 {
         println!("{}", error_to_json(&err).to_json());
         return 0;
     }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if fault == "panic" {
-            panic!("injected shard worker fault");
-        }
-        execute_wire_text(&input)
-    }));
-    let text = match outcome {
-        Ok(Ok(result)) => result.to_json_string(),
-        Ok(Err(e)) => error_to_json(&e).to_json(),
-        Err(payload) => {
-            let err = XaiError::WorkerPanic { task: 0, message: panic_message(payload) };
-            error_to_json(&err).to_json()
-        }
+    let injected = (fault == "panic").then_some("injected shard worker fault");
+    let text = match execute_caught(&input, injected) {
+        Ok(result) => result.to_json_string(),
+        Err(e) => error_to_json(&e).to_json(),
     };
     println!("{text}");
     0

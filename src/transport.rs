@@ -8,8 +8,10 @@
 //! [`ShardDescriptor`] frame per request, looped until the client closes
 //! the stream — executing each through
 //! [`crate::shard::execute_wire_text`] (rebuilding model and method from
-//! their persisted forms) and answering with a [`ShardResult`] frame or
-//! a typed shard error envelope.
+//! their persisted forms; a panic is caught and typed, as in the stdin
+//! worker) and answering with a [`ShardResult`] frame or a typed shard
+//! error envelope. The coordinator side is
+//! [`xai_core::backend::ClusterBackend`] over a [`ClusterRunner`].
 //!
 //! For the supervision tests, `XAI_TRANSPORT_FAULT` injects daemon-side
 //! failure modes (`kill`, `hang`, `garbage`, `partial`, `panic`,
@@ -27,25 +29,9 @@ use std::time::Duration;
 
 use xai_core::{IoKind, XaiError, XaiResult};
 
-use crate::shard::{execute_wire_text, panic_message};
+use crate::shard::execute_caught;
 
 pub use xai_core::transport::*;
-
-/// One-shot cluster execution for any persistable model: cut the request
-/// into `n_shards` descriptors (the model travels in its persisted form),
-/// ship them to the configured endpoints under full retry/hedging/breaker
-/// supervision, and merge bit-identically to the unsharded run. The
-/// cluster-transported sibling of
-/// [`crate::shard::explain_process_pool`].
-pub fn explain_cluster<M: xai_core::ModelOracle + xai_models::Persist>(
-    explainer: &dyn xai_core::ShardableExplainer,
-    model: &M,
-    req: &xai_core::ExplainRequest<'_>,
-    n_shards: usize,
-    config: &ClusterConfig,
-) -> XaiResult<ClusterOutcome> {
-    xai_core::transport::explain_cluster(explainer, model, req, model.save(), n_shards, config)
-}
 
 /// How long the daemon waits on a single connection's socket operations.
 /// Generous: slow shards are legitimate; the *client* owns the deadline.
@@ -156,22 +142,6 @@ fn inject_fault(mode: FaultMode, stream: &TcpStream) -> bool {
 // The daemon
 // ---------------------------------------------------------------------------
 
-/// Executes one wire-form descriptor, converting panics into typed
-/// errors so a poisoned shard produces a `worker_panic` envelope instead
-/// of tearing down the daemon.
-fn execute_caught(text: &str, force_panic: bool) -> XaiResult<crate::shard::ShardResult> {
-    let outcome = std::panic::catch_unwind(|| {
-        if force_panic {
-            panic!("injected transport fault: panic");
-        }
-        execute_wire_text(text)
-    });
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => Err(XaiError::WorkerPanic { task: 0, message: panic_message(payload) }),
-    }
-}
-
 /// Runs the shard daemon: bind `addr` (use port 0 for an ephemeral
 /// port), print `listening on {local_addr}` on stdout so a parent
 /// process can discover the port, then serve a persistent session per
@@ -208,17 +178,18 @@ pub fn run_daemon(addr: &str) -> i32 {
                 continue;
             }
         };
-        let force_panic = match &fault {
+        let injected_panic = match &fault {
             Some(plan) if plan.applies() => {
                 if inject_fault(plan.mode, &stream) {
                     continue;
                 }
-                true // FaultMode::Panic reaches execution
+                // FaultMode::Panic reaches execution.
+                Some("injected transport fault: panic")
             }
-            _ => false,
+            _ => None,
         };
         std::thread::spawn(move || {
-            let execute = |text: &str| execute_caught(text, force_panic);
+            let execute = |text: &str| execute_caught(text, injected_panic);
             if let Err(e) = serve_connection(&stream, DAEMON_IO_TIMEOUT, &execute) {
                 eprintln!("xai-shard-worker: connection failed: {e}");
             }

@@ -6,8 +6,9 @@
 //! requests routed through each backend match serve-local bytes, a
 //! dead-cluster fault schedule degrades in-process with the `degraded`
 //! marker set and identical bytes, cluster runs reuse endpoint sessions
-//! (connection-count instrumentation), and shard-cache hits show up in
-//! both `ClusterStats` and `ServeStats`.
+//! (connection-count instrumentation), and `ClusterRunner::stats` counts
+//! every shard-cache hit and miss exactly once, also when two serve
+//! workers run cluster jobs at the same time.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -333,18 +334,20 @@ fn cluster_runs_reuse_endpoint_sessions() {
     let mut config = cluster_config(&daemons);
     // Disable the shard cache so the second run must touch the network.
     config.shard_cache_capacity = 0;
-    let runner = ClusterRunner::new(config).expect("runner");
+    let backend = ClusterBackend::from_config(config).expect("backend");
+    let runner = backend.runner();
     // One shard per endpoint: connection counts are deterministic because
     // no two shards ever contend for the same endpoint's session pool.
     let n_shards = 2;
+    let job = BackendJob::new(&LooMethod, &model, &req, n_shards).with_model_json(model.save());
 
-    let first = runner.explain(&LooMethod, &model, &req, model.save(), n_shards).expect("run 1");
+    let first = backend.execute(&job).expect("run 1");
     let after_first = runner.stats();
     assert_eq!(after_first.connections_opened, 2, "first run opens one connection per shard");
     assert_eq!(after_first.sessions_reused, 0, "nothing to reuse on a cold pool");
     assert_eq!(after_first.shard_cache_hits, 0, "cache is disabled");
 
-    let second = runner.explain(&LooMethod, &model, &req, model.save(), n_shards).expect("run 2");
+    let second = backend.execute(&job).expect("run 2");
     let after_second = runner.stats();
     assert_eq!(
         second.explanation.to_json_string(),
@@ -366,15 +369,17 @@ fn shard_cache_answers_repeated_cluster_runs() {
     let (data, model) = fixture(20, 21);
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
     let daemons = spawn_daemons(2);
-    let runner = ClusterRunner::new(cluster_config(&daemons)).expect("runner");
+    let backend = ClusterBackend::from_config(cluster_config(&daemons)).expect("backend");
+    let runner = backend.runner();
     let n_shards = 4;
+    let job = BackendJob::new(&LooMethod, &model, &req, n_shards).with_model_json(model.save());
 
-    let first = runner.explain(&LooMethod, &model, &req, model.save(), n_shards).expect("run 1");
+    let first = backend.execute(&job).expect("run 1");
     let after_first = runner.stats();
     assert_eq!(after_first.shard_cache_hits, 0);
     assert_eq!(after_first.shard_cache_misses, n_shards as u64);
 
-    let second = runner.explain(&LooMethod, &model, &req, model.save(), n_shards).expect("run 2");
+    let second = backend.execute(&job).expect("run 2");
     let after_second = runner.stats();
     assert_eq!(
         after_second.shard_cache_hits,
@@ -398,9 +403,9 @@ fn serve_counts_shard_cache_hits() {
         workspace_service(ServiceConfig { cache_capacity: 0, ..ServiceConfig::default() });
     register_persist(&service, "credit", model, data.clone());
     let daemons = spawn_daemons(2);
-    service.set_backend(Arc::new(
-        ClusterBackend::from_config(cluster_config(&daemons)).expect("backend"),
-    ));
+    let backend = ClusterBackend::from_config(cluster_config(&daemons)).expect("backend");
+    let runner = Arc::clone(backend.runner());
+    service.set_backend(Arc::new(backend));
 
     let request = ServeRequest::new("Leave-one-out", "credit").with_plan(
         RunConfig::seeded(19).with_workers(2).with_backend(BackendChoice::cluster(2)),
@@ -410,8 +415,59 @@ fn serve_counts_shard_cache_hits() {
     assert!(!warm.cached, "the result cache is disabled; this hit the backend");
     assert_eq!(warm.payload, cold.payload);
 
-    let stats = service.stats();
+    let stats = runner.stats();
     assert_eq!(stats.shard_cache_misses, 2, "cold run misses once per shard");
     assert_eq!(stats.shard_cache_hits, 2, "warm run hits once per shard");
-    assert_eq!(stats.cluster_completed, 2);
+    assert_eq!(service.stats().cluster_completed, 2);
+}
+
+#[test]
+fn concurrent_serve_workers_count_each_shard_once() {
+    const REQUESTS: u64 = 4;
+    const SHARDS: usize = 2;
+    let (data, model) = fixture(20, 21);
+    // Two serve workers run cluster jobs at the same time; the result
+    // cache is off so every submit reaches the backend's shard cache.
+    let service = workspace_service(ServiceConfig {
+        workers: 2,
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    });
+    register_persist(&service, "credit", model, data.clone());
+    let daemons = spawn_daemons(2);
+    let backend = ClusterBackend::from_config(cluster_config(&daemons)).expect("backend");
+    let runner = Arc::clone(backend.runner());
+    service.set_backend(Arc::new(backend));
+
+    // Distinct seeds give distinct descriptor bytes, hence distinct keys.
+    let request = |i: u64| {
+        ServeRequest::new("Leave-one-out", "credit").with_plan(
+            RunConfig::seeded(100 + i)
+                .with_workers(2)
+                .with_backend(BackendChoice::cluster(SHARDS)),
+        )
+    };
+    // Both clients start together so their cluster jobs overlap.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for thread in 0..2 {
+            let (service, request, start) = (&service, &request, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in (thread..REQUESTS).step_by(2) {
+                    // The repeat starts after its cold run has finished, so
+                    // each of its shards is a hit.
+                    let cold = service.submit(&request(i)).expect("cold submit");
+                    let warm = service.submit(&request(i)).expect("warm submit");
+                    assert_eq!(warm.payload, cold.payload, "request {i}");
+                }
+            });
+        }
+    });
+
+    let stats = runner.stats();
+    let shards = REQUESTS * SHARDS as u64;
+    assert_eq!(stats.shard_cache_misses, shards, "one miss per cold shard: {stats:?}");
+    assert_eq!(stats.shard_cache_hits, shards, "one hit per repeated shard: {stats:?}");
+    assert_eq!(service.stats().cluster_completed, 2 * REQUESTS);
 }

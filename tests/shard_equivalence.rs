@@ -5,15 +5,28 @@
 //! shard too: a `SampleBudget` resolves into the draw grid, so the
 //! sharded budgeted run reproduces the explicit smaller configuration.
 
+use xai::core::backend::dispatch_local;
 use xai::datavalue::BanzhafConfig;
+use xai::models::Persist;
 use xai::prelude::*;
-use xai::shard::{explain_process_pool, explain_sharded, PoolConfig, ShardableExplainer};
 use xai_rules::AnchorsConfig;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-fn worker_pool() -> PoolConfig {
-    PoolConfig::new(env!("CARGO_BIN_EXE_xai-shard-worker"))
+fn worker_pool() -> ProcessPoolBackend {
+    ProcessPoolBackend::new(PoolConfig::new(env!("CARGO_BIN_EXE_xai-shard-worker")))
+}
+
+/// Runs the plan as `n_shards` `xai-shard-worker` processes.
+fn run_on_pool(
+    method: &dyn ShardableExplainer,
+    model: &LogisticRegression,
+    req: &ExplainRequest<'_>,
+    n_shards: usize,
+    pool: &ProcessPoolBackend,
+) -> XaiResult<Explanation> {
+    let job = BackendJob::new(method, model, req, n_shards).with_model_json(model.save());
+    pool.execute(&job).map(|outcome| outcome.explanation)
 }
 
 /// A classification fixture sized for debug-mode test runs.
@@ -38,12 +51,12 @@ fn assert_shard_equivalence(
         .to_json_string();
     let pool = worker_pool();
     for n_shards in SHARD_COUNTS {
-        let in_process = explain_sharded(method, model, req, n_shards)
+        let in_process = dispatch_local(method, model, req, n_shards)
             .unwrap_or_else(|e| panic!("{label}: in-process n_shards={n_shards} failed: {e:?}"))
             .to_json_string();
         assert_eq!(in_process, reference, "{label}: in-process diverged at n_shards={n_shards}");
 
-        let pooled = explain_process_pool(method, model, req, n_shards, &pool)
+        let pooled = run_on_pool(method, model, req, n_shards, &pool)
             .unwrap_or_else(|e| panic!("{label}: process pool n_shards={n_shards} failed: {e:?}"))
             .to_json_string();
         assert_eq!(pooled, reference, "{label}: process pool diverged at n_shards={n_shards}");
@@ -182,14 +195,13 @@ fn budgeted_kernel_shap_shards_like_the_explicit_config() {
     let reference = explicit.explain(&model, &explicit_req).unwrap().to_json_string();
     let pool = worker_pool();
     for n_shards in SHARD_COUNTS {
-        let sharded = explain_sharded(&budgeted, &model, &budgeted_req, n_shards)
+        let sharded = dispatch_local(&budgeted, &model, &budgeted_req, n_shards)
             .unwrap()
             .to_json_string();
         assert_eq!(sharded, reference, "budgeted kernel SHAP diverged at n_shards={n_shards}");
-        let pooled =
-            explain_process_pool(&budgeted, &model, &budgeted_req, n_shards, &pool)
-                .unwrap()
-                .to_json_string();
+        let pooled = run_on_pool(&budgeted, &model, &budgeted_req, n_shards, &pool)
+            .unwrap()
+            .to_json_string();
         assert_eq!(pooled, reference, "budgeted pool kernel SHAP at n_shards={n_shards}");
     }
 }
@@ -213,14 +225,13 @@ fn budgeted_lime_shards_like_the_explicit_config() {
     let reference = explicit.explain(&model, &explicit_req).unwrap().to_json_string();
     let pool = worker_pool();
     for n_shards in SHARD_COUNTS {
-        let sharded = explain_sharded(&budgeted, &model, &budgeted_req, n_shards)
+        let sharded = dispatch_local(&budgeted, &model, &budgeted_req, n_shards)
             .unwrap()
             .to_json_string();
         assert_eq!(sharded, reference, "budgeted LIME diverged at n_shards={n_shards}");
-        let pooled =
-            explain_process_pool(&budgeted, &model, &budgeted_req, n_shards, &pool)
-                .unwrap()
-                .to_json_string();
+        let pooled = run_on_pool(&budgeted, &model, &budgeted_req, n_shards, &pool)
+            .unwrap()
+            .to_json_string();
         assert_eq!(pooled, reference, "budgeted pool LIME at n_shards={n_shards}");
     }
 }

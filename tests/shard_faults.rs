@@ -7,8 +7,8 @@
 
 use std::time::{Duration, Instant};
 
+use xai::models::Persist;
 use xai::prelude::*;
-use xai::shard::{explain_process_pool, PoolConfig};
 
 fn fixture() -> (Dataset, LogisticRegression) {
     let data = xai::data::synth::german_credit(12, 41);
@@ -25,7 +25,8 @@ fn faulty_pool(mode: &str) -> PoolConfig {
 fn run(pool: &PoolConfig) -> XaiResult<Explanation> {
     let (data, model) = fixture();
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
-    explain_process_pool(&LooMethod, &model, &req, 3, pool)
+    let job = BackendJob::new(&LooMethod, &model, &req, 3).with_model_json(model.save());
+    ProcessPoolBackend::new(pool.clone()).execute(&job).map(|outcome| outcome.explanation)
 }
 
 #[test]

@@ -55,10 +55,11 @@ fn assert_transport_equivalence(
         .unwrap_or_else(|e| panic!("{label}: unsharded explain failed: {e:?}"))
         .to_json_string();
     let (_daemons, config) = cluster();
-    let runner = ClusterRunner::new(config).expect("cluster runner");
+    let backend = ClusterBackend::from_config(config).expect("cluster backend");
     for n_shards in SHARD_COUNTS {
-        let outcome = runner
-            .explain(method, model, req, model.save(), n_shards)
+        let job = BackendJob::new(method, model, req, n_shards).with_model_json(model.save());
+        let outcome = backend
+            .execute(&job)
             .unwrap_or_else(|e| panic!("{label}: cluster n_shards={n_shards} failed: {e:?}"));
         assert!(!outcome.degraded, "{label}: degraded at n_shards={n_shards}");
         assert_eq!(
@@ -174,7 +175,7 @@ fn data_banzhaf_transports() {
 }
 
 #[test]
-fn one_shot_explain_cluster_matches_and_reports_health() {
+fn one_shot_cluster_backend_matches_and_reports_health() {
     let (data, model) = fixture(60, 7);
     let row = data.row(0).to_vec();
     let req = ExplainRequest::new(&data)
@@ -185,9 +186,12 @@ fn one_shot_explain_cluster_matches_and_reports_health() {
     };
     let reference = method.explain(&model, &req).unwrap().to_json_string();
     let (_daemons, config) = cluster();
-    let outcome = xai::transport::explain_cluster(&method, &model, &req, 4, &config).unwrap();
+    let backend = ClusterBackend::from_config(config).unwrap();
+    let job = BackendJob::new(&method, &model, &req, 4).with_model_json(model.save());
+    let outcome = backend.execute(&job).unwrap();
+    let stats = backend.runner().stats();
     assert!(!outcome.degraded);
     assert_eq!(outcome.explanation.to_json_string(), reference);
-    assert_eq!(outcome.stats.transport_failures, 0, "healthy cluster saw failures");
-    assert!(outcome.stats.attempts >= 4, "four shards need at least four dispatches");
+    assert_eq!(stats.transport_failures, 0, "healthy cluster saw failures");
+    assert!(stats.attempts >= 4, "four shards need at least four dispatches");
 }

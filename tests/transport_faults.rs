@@ -64,14 +64,15 @@ fn fast_config(endpoints: Vec<String>) -> ClusterConfig {
 /// bytes) — LOO is deterministic and cheap, so every fault test can
 /// assert exact bytes.
 fn run_loo(
-    runner: &ClusterRunner,
+    backend: &ClusterBackend,
     data: &Dataset,
     model: &LogisticRegression,
     n_shards: usize,
 ) -> XaiResult<(String, bool)> {
     let req = ExplainRequest::new(data).plan(RunConfig::seeded(19).with_workers(2));
     let reference = LooMethod.explain(model, &req).unwrap().to_json_string();
-    let outcome = runner.explain(&LooMethod, model, &req, model.save(), n_shards)?;
+    let job = BackendJob::new(&LooMethod, model, &req, n_shards).with_model_json(model.save());
+    let outcome = backend.execute(&job)?;
     assert_eq!(
         outcome.explanation.to_json_string(),
         reference,
@@ -84,22 +85,22 @@ fn run_loo(
 fn refused_endpoint_reroutes_to_the_survivor() {
     let (data, model) = fixture();
     let live = daemon("");
-    let runner =
-        ClusterRunner::new(fast_config(vec![refused_addr(), live.addr().to_string()]))
+    let backend =
+        ClusterBackend::from_config(fast_config(vec![refused_addr(), live.addr().to_string()]))
             .unwrap();
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 4).expect("survivor must carry");
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 4).expect("survivor must carry");
     assert!(!degraded);
-    let stats = runner.stats();
+    let stats = backend.runner().stats();
     assert!(stats.transport_failures >= 1, "the refused endpoint was never touched: {stats:?}");
 }
 
 #[test]
 fn all_refused_is_a_typed_refusal_in_bounded_time() {
     let (data, model) = fixture();
-    let runner =
-        ClusterRunner::new(fast_config(vec![refused_addr(), refused_addr()])).unwrap();
+    let backend =
+        ClusterBackend::from_config(fast_config(vec![refused_addr(), refused_addr()])).unwrap();
     let started = Instant::now();
-    let err = run_loo(&runner, &data, &model, 2).expect_err("nothing was listening");
+    let err = run_loo(&backend, &data, &model, 2).expect_err("nothing was listening");
     assert!(
         matches!(err, XaiError::Io { kind: IoKind::Refused, .. }),
         "wanted a typed refusal, got {err:?}"
@@ -112,12 +113,11 @@ fn all_refused_degrades_to_in_process_with_identical_bytes() {
     let (data, model) = fixture();
     let mut config = fast_config(vec![refused_addr(), refused_addr()]);
     config.fallback = FallbackPolicy::InProcess;
-    let runner = ClusterRunner::new(config).unwrap();
+    let backend = ClusterBackend::from_config(config).unwrap();
     // run_loo asserts the bytes against the unsharded reference; the
     // fallback must be marked.
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 4).expect("fallback must carry");
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 4).expect("fallback must carry");
     assert!(degraded, "in-process fallback must set the degraded marker");
-    assert!(runner.stats().degraded);
 }
 
 #[test]
@@ -125,14 +125,14 @@ fn killed_daemon_reroutes_to_the_survivor() {
     let (data, model) = fixture();
     let doomed = daemon("kill");
     let live = daemon("");
-    let runner = ClusterRunner::new(fast_config(vec![
+    let backend = ClusterBackend::from_config(fast_config(vec![
         doomed.addr().to_string(),
         live.addr().to_string(),
     ]))
     .unwrap();
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 4).expect("survivor must carry");
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 4).expect("survivor must carry");
     assert!(!degraded);
-    assert!(runner.stats().transport_failures >= 1);
+    assert!(backend.runner().stats().transport_failures >= 1);
 }
 
 #[test]
@@ -140,15 +140,15 @@ fn hung_daemon_times_out_and_redispatches() {
     let (data, model) = fixture();
     let stuck = daemon("hang");
     let live = daemon("");
-    let runner = ClusterRunner::new(fast_config(vec![
+    let backend = ClusterBackend::from_config(fast_config(vec![
         stuck.addr().to_string(),
         live.addr().to_string(),
     ]))
     .unwrap();
     let started = Instant::now();
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 2).expect("survivor must carry");
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 2).expect("survivor must carry");
     assert!(!degraded);
-    assert!(runner.stats().transport_failures >= 1, "the hang was never noticed");
+    assert!(backend.runner().stats().transport_failures >= 1, "the hang was never noticed");
     assert!(started.elapsed() < Duration::from_secs(30), "took {:?}", started.elapsed());
 }
 
@@ -159,9 +159,9 @@ fn all_hung_is_a_typed_deadline_in_bounded_time() {
     let b = daemon("hang");
     let mut config = fast_config(vec![a.addr().to_string(), b.addr().to_string()]);
     config.retry.max_attempts = 2;
-    let runner = ClusterRunner::new(config).unwrap();
+    let backend = ClusterBackend::from_config(config).unwrap();
     let started = Instant::now();
-    let err = run_loo(&runner, &data, &model, 2).expect_err("every worker hung");
+    let err = run_loo(&backend, &data, &model, 2).expect_err("every worker hung");
     assert!(
         matches!(err, XaiError::BudgetExceeded { .. }),
         "a blown response deadline must be BudgetExceeded, got {err:?}"
@@ -173,10 +173,11 @@ fn all_hung_is_a_typed_deadline_in_bounded_time() {
 fn one_garbage_frame_is_retried_to_success() {
     let (data, model) = fixture();
     let flaky = daemon("garbage:1");
-    let runner = ClusterRunner::new(fast_config(vec![flaky.addr().to_string()])).unwrap();
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 2).expect("retry must succeed");
+    let backend =
+        ClusterBackend::from_config(fast_config(vec![flaky.addr().to_string()])).unwrap();
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 2).expect("retry must succeed");
     assert!(!degraded);
-    let stats = runner.stats();
+    let stats = backend.runner().stats();
     assert!(stats.retries >= 1, "the garbage frame was never retried: {stats:?}");
     assert!(stats.transport_failures >= 1);
 }
@@ -185,8 +186,9 @@ fn one_garbage_frame_is_retried_to_success() {
 fn persistent_garbage_is_a_typed_parse_error() {
     let (data, model) = fixture();
     let liar = daemon("garbage");
-    let runner = ClusterRunner::new(fast_config(vec![liar.addr().to_string()])).unwrap();
-    let err = run_loo(&runner, &data, &model, 2).expect_err("the daemon only lies");
+    let backend =
+        ClusterBackend::from_config(fast_config(vec![liar.addr().to_string()])).unwrap();
+    let err = run_loo(&backend, &data, &model, 2).expect_err("the daemon only lies");
     assert!(
         matches!(err, XaiError::Parse { .. }),
         "garbage frames must be Parse errors, got {err:?}"
@@ -197,18 +199,20 @@ fn persistent_garbage_is_a_typed_parse_error() {
 fn one_partial_write_is_retried_to_success() {
     let (data, model) = fixture();
     let flaky = daemon("partial:1");
-    let runner = ClusterRunner::new(fast_config(vec![flaky.addr().to_string()])).unwrap();
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 2).expect("retry must succeed");
+    let backend =
+        ClusterBackend::from_config(fast_config(vec![flaky.addr().to_string()])).unwrap();
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 2).expect("retry must succeed");
     assert!(!degraded);
-    assert!(runner.stats().transport_failures >= 1);
+    assert!(backend.runner().stats().transport_failures >= 1);
 }
 
 #[test]
 fn persistent_partial_writes_are_short_reads() {
     let (data, model) = fixture();
     let truncator = daemon("partial");
-    let runner = ClusterRunner::new(fast_config(vec![truncator.addr().to_string()])).unwrap();
-    let err = run_loo(&runner, &data, &model, 2).expect_err("every frame is truncated");
+    let backend =
+        ClusterBackend::from_config(fast_config(vec![truncator.addr().to_string()])).unwrap();
+    let err = run_loo(&backend, &data, &model, 2).expect_err("every frame is truncated");
     assert!(
         matches!(
             err,
@@ -226,10 +230,10 @@ fn breaker_trips_open_and_shortcircuits_dead_endpoints() {
     config.breaker_threshold = 2;
     config.breaker_cooldown = Duration::from_secs(300); // no half-open during the test
     config.retry.max_attempts = 5;
-    let runner = ClusterRunner::new(config).unwrap();
-    let err = run_loo(&runner, &data, &model, 3).expect_err("nothing was listening");
+    let backend = ClusterBackend::from_config(config).unwrap();
+    let err = run_loo(&backend, &data, &model, 3).expect_err("nothing was listening");
     assert!(matches!(err, XaiError::Io { .. }), "{err:?}");
-    let health = runner.health();
+    let health = backend.runner().health();
     assert_eq!(health[0].state, xai::transport::BreakerState::Open, "{health:?}");
     assert!(health[0].trips >= 1);
     // Once open, attempts are short-circuited before touching the socket:
@@ -253,13 +257,13 @@ fn hedging_rescues_a_straggler() {
     config.retry.max_attempts = 1; // the hedge, not a retry, must save the run
     config.hedge_after = Some(Duration::from_millis(300));
     config.fallback = FallbackPolicy::Fail;
-    let runner = ClusterRunner::new(config).unwrap();
+    let backend = ClusterBackend::from_config(config).unwrap();
     // One shard: its primary is the hung endpoint, the hedge goes to the
     // healthy one.
     let started = Instant::now();
-    let (_bytes, degraded) = run_loo(&runner, &data, &model, 1).expect("the hedge must win");
+    let (_bytes, degraded) = run_loo(&backend, &data, &model, 1).expect("the hedge must win");
     assert!(!degraded);
-    let stats = runner.stats();
+    let stats = backend.runner().stats();
     assert!(stats.hedges >= 1, "no hedge was launched: {stats:?}");
     assert!(stats.hedge_wins >= 1, "the hedge never won: {stats:?}");
     assert_eq!(stats.retries, 0, "hedging must not consume retry budget: {stats:?}");
@@ -274,8 +278,8 @@ fn worker_panic_is_typed_never_retried_and_never_fallen_back() {
     // Even a permissive fallback policy must NOT mask an execution
     // error: the panic is a property of the shard, not the transport.
     config.fallback = FallbackPolicy::InProcess;
-    let runner = ClusterRunner::new(config).unwrap();
-    let err = run_loo(&runner, &data, &model, 2).expect_err("the worker panics");
+    let backend = ClusterBackend::from_config(config).unwrap();
+    let err = run_loo(&backend, &data, &model, 2).expect_err("the worker panics");
     match err {
         XaiError::WorkerPanic { task, message } => {
             assert_eq!(task, 0, "the lowest-indexed failing shard must win");
@@ -283,7 +287,6 @@ fn worker_panic_is_typed_never_retried_and_never_fallen_back() {
         }
         other => panic!("a worker panic must stay WorkerPanic, got {other:?}"),
     }
-    let stats = runner.stats();
+    let stats = backend.runner().stats();
     assert_eq!(stats.retries, 0, "execution errors must not be retried: {stats:?}");
-    assert!(!stats.degraded, "execution errors must not trigger fallback: {stats:?}");
 }

@@ -1,4 +1,4 @@
-//! Transport soak (DESIGN.md §13): one shared `ClusterRunner` over two
+//! Transport soak (DESIGN.md §13): one shared `ClusterBackend` over two
 //! loopback daemons, hammered by concurrent client threads running
 //! different methods at different shard counts, every single result
 //! byte-compared against its unsharded reference. Sustained concurrent
@@ -79,7 +79,8 @@ fn concurrent_soak_is_byte_stable_and_keeps_endpoints_healthy() {
     config.connect_timeout = Duration::from_secs(5);
     config.io_timeout = Duration::from_secs(120);
     config.fallback = FallbackPolicy::Fail;
-    let runner = ClusterRunner::new(config).expect("cluster runner");
+    let backend = ClusterBackend::from_config(config).expect("cluster backend");
+    let runner = backend.runner();
 
     let loads = workloads();
     // Pre-compute each workload's unsharded reference bytes once.
@@ -98,7 +99,7 @@ fn concurrent_soak_is_byte_stable_and_keeps_endpoints_healthy() {
 
     std::thread::scope(|scope| {
         for thread in 0..CLIENT_THREADS {
-            let runner = &runner;
+            let backend = &backend;
             let loads = &loads;
             let references = &references;
             scope.spawn(move || {
@@ -112,8 +113,10 @@ fn concurrent_soak_is_byte_stable_and_keeps_endpoints_healthy() {
                         if w.instance.is_some() {
                             req = req.instance(row);
                         }
-                        let outcome = runner
-                            .explain(w.method.as_ref(), &w.model, &req, w.model.save(), n_shards)
+                        let job = BackendJob::new(w.method.as_ref(), &w.model, &req, n_shards)
+                            .with_model_json(w.model.save());
+                        let outcome = backend
+                            .execute(&job)
                             .unwrap_or_else(|e| {
                                 panic!(
                                     "{}: thread {thread} round {round} n_shards={n_shards}: {e:?}",
