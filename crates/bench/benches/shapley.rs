@@ -5,7 +5,7 @@
 use xai_bench::timing::Group;
 use xai_core::backend::dispatch_local;
 use xai_core::{CoalitionMemo, ExplainRequest, FnOracle, GameKey, ModelOracle, RunConfig};
-use xai_data::synth::{friedman1, german_credit};
+use xai_data::synth::{correlated_gaussian, friedman1, german_credit};
 use xai_models::{
     proba_fn, Classifier, DecisionTree, Gbdt, GbdtConfig, GbdtLoss, LogisticConfig,
     LogisticRegression, SplitCriterion, TreeConfig,
@@ -121,6 +121,41 @@ fn bench_kernel_shap_batched() {
     }
 }
 
+/// Masked GBDT coalition evaluation at the serving benchmark's
+/// `attribution` shape: 30 boosting rounds of depth 3 on a 16-feature
+/// table, a 48-row background, and 128 coalition masks in rounds of 1
+/// and of 128 through `ModelOracle::predict_masked` (the row-set routing kernel,
+/// DESIGN.md §12). Also prints the cost per masked row.
+fn bench_masked_gbdt() {
+    const WEIGHTS: [f64; 16] = [
+        1.5, -1.2, 0.9, -0.7, 0.6, -0.5, 0.4, -0.3, 0.3, -0.2, 0.2, -0.1, 0.1, 0.05, -0.05, 0.0,
+    ];
+    let table = correlated_gaussian(2100, &WEIGHTS, 0.4, -2.5, 7);
+    let train = table.subset(&(0..2000).collect::<Vec<_>>());
+    let config = GbdtConfig { n_rounds: 30, ..GbdtConfig::default() };
+    let gbdt = Gbdt::fit(train.x(), train.y(), config);
+    let background = table.subset(&(2000..2048).collect::<Vec<_>>());
+    let background = background.x();
+    let instance = table.row(2050).to_vec();
+    let mut rng = xai_rand::SplitMix64::new(0x3a5c);
+    let masks: Vec<u64> = (0..128).map(|_| rng.next() & 0xffff).collect();
+    let mut group = Group::new("masked_gbdt");
+    let mut out = Vec::new();
+    for n in [1usize, 128] {
+        // Every sample scores all 128 masks: 128 one-mask calls, or one
+        // 128-mask call.
+        let t = group.bench(&format!("predict_masked/{n}"), || {
+            for round in masks.chunks(n) {
+                ModelOracle::predict_masked(&gbdt, &instance, background, round, &mut out);
+            }
+            out.len()
+        });
+        let rows = (masks.len() * background.rows()) as f64;
+        println!("  {n} mask(s): {:.1} ns per masked row", t.as_secs_f64() * 1e9 / rows);
+    }
+    group.finish();
+}
+
 /// The tentpole measurement: 1000-permutation Monte-Carlo Shapley,
 /// the sequential layout vs. the chunk grid that `workers > 1` plans run
 /// (`dispatch_local`), on one executor thread and at the machine's worker
@@ -194,6 +229,7 @@ fn bench_gbdt_shap() {
 fn main() {
     bench_exact_vs_samplers();
     bench_kernel_shap_batched();
+    bench_masked_gbdt();
     bench_parallel_mc_shapley();
     bench_treeshap();
     bench_gbdt_shap();

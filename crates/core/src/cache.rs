@@ -16,7 +16,8 @@
 //! `u32` positions, so eviction takes the tail in O(1) and reuses its
 //! slot in place. The key index is a linear-probing table of entry
 //! positions kept at most half full; each slot also holds 32 bits of its
-//! key's hash, so a probe loads no entry it cannot match. Deletion
+//! key's hash, so a probe loads no entry it cannot match; entries keep
+//! no copy of it, and eviction rehashes the evicted key. Deletion
 //! shifts the rest of the probe chain back instead of leaving a
 //! tombstone, so a cache churning at capacity never grows its index —
 //! a std `HashMap` index under the same churn fills with tombstones and
@@ -54,11 +55,11 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
+/// One entry. Its hash is not stored: the index slot pointing at it
+/// holds the 32 bits probing needs, and eviction rehashes the key.
 struct Node<K, V> {
     key: K,
     value: V,
-    /// Low 32 bits of the key's hash.
-    hash: u32,
     /// Next more recently used node.
     prev: u32,
     /// Next less recently used node.
@@ -128,13 +129,14 @@ impl<K: Hash + Eq, V> LruMap<K, V> {
             self.touch(n);
             return false;
         }
+        let evicted = self.nodes.len() == self.capacity;
+        let evictee_hash = if evicted { self.hash(&self.nodes[self.tail as usize].key) } else { 0 };
         // No key code (hash, eq) runs past this point, so a panic cannot
         // leave the links and the index disagreeing.
-        let node = Node { key, value, hash, prev: NIL, next: NIL };
-        let evicted = self.nodes.len() == self.capacity;
+        let node = Node { key, value, prev: NIL, next: NIL };
         let n = if evicted {
             let n = self.tail as usize;
-            self.unindex(n);
+            self.unindex(n, evictee_hash);
             self.unlink(n);
             self.nodes[n] = node;
             self.evictions += 1;
@@ -207,12 +209,13 @@ impl<K: Hash + Eq, V> LruMap<K, V> {
         self.slots[i] = slot;
     }
 
-    /// Removes node `n` from the index by backward shift: each later
-    /// member of the probe chain that may legally sit in the hole moves
-    /// into it, so no tombstone is left behind.
-    fn unindex(&mut self, n: usize) {
+    /// Removes node `n`, whose key hashes to `hash`, from the index by
+    /// backward shift: each later member of the probe chain that may
+    /// legally sit in the hole moves into it, so no tombstone is left
+    /// behind.
+    fn unindex(&mut self, n: usize, hash: u32) {
         let mask = self.slots.len() - 1;
-        let mut hole = self.nodes[n].hash as usize & mask;
+        let mut hole = hash as usize & mask;
         while self.slots[hole].node as usize != n {
             hole = (hole + 1) & mask;
         }

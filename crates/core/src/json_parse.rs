@@ -5,8 +5,18 @@
 //! straightforward recursive-descent implementation over the JSON
 //! grammar: objects, arrays, strings (with escapes and `\uXXXX`),
 //! numbers, booleans, null.
+//!
+//! Arrays and objects may nest at most [`MAX_NESTING`] levels deep. The
+//! recursion would otherwise let one hostile document (a few hundred KB
+//! of `[`) overflow the stack and abort the process, which no caller can
+//! catch; past the limit the parser returns a [`ParseError`] instead.
 
 use crate::report::Json;
+
+/// Deepest array/object nesting [`parse_json`] accepts. Everything the
+/// workspace writes nests a handful of levels (persisted trees are flat
+/// node lists), so this sits far above any document of its own.
+pub const MAX_NESTING: usize = 128;
 
 /// A parse error with byte position and message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +38,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -63,8 +75,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -73,6 +85,21 @@ impl<'a> Parser<'a> {
             Some(c) => self.err(&format!("unexpected character '{}'", c as char)),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(&format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_lit(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
@@ -223,7 +250,7 @@ impl<'a> Parser<'a> {
 
 /// Parses a JSON document.
 pub fn parse_json(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -326,6 +353,25 @@ mod tests {
         let e = parse_json("[1, 2, oops]").unwrap_err();
         assert!(e.position >= 7, "position {}", e.position);
         assert!(!e.to_string().is_empty());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Deep enough to overflow the stack of an unbounded parser, even
+        // in a release build: the limit must refuse it with an error.
+        let n = 100_000;
+        let deep = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let e = parse_json(&deep).unwrap_err();
+        assert_eq!(e.position, MAX_NESTING);
+        assert!(e.message.contains("nesting"), "{e}");
+        let deep_objects = "{\"a\":".repeat(n);
+        assert!(parse_json(&deep_objects).is_err());
+
+        // Exactly at the limit still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse_json(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(parse_json(&over).is_err());
     }
 
     #[test]

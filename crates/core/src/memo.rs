@@ -14,7 +14,11 @@
 //! Keys never dangle: retraining a model changes its persisted bytes and
 //! therefore its fingerprint, so stale values are unreachable rather than
 //! invalidated in place. Capacity pressure evicts the least recently used
-//! coalition value, one at a time ([`crate::cache::Lru`]).
+//! coalition value, one at a time ([`crate::cache::Lru`]). Game keys are
+//! interned to never-reused `u64` serials, so a value entry is keyed on
+//! two words.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cache::{CacheStats, Lru};
 
@@ -75,18 +79,44 @@ pub struct MemoHandle<'a> {
 }
 
 /// Bounded, thread-safe cross-request coalition-value memo: an
-/// [`Lru`] keyed on `(game, coalition mask)`.
+/// [`Lru`] keyed on `(game serial, coalition mask)`.
+///
+/// Each [`GameKey`] is interned to a `u64` serial in a second [`Lru`] of
+/// the same capacity, which keeps a value entry at 16 bytes of key
+/// instead of 32. Serials come from a counter and are never reused: a
+/// game evicted from the intern table gets a fresh serial when it comes
+/// back, and the values under its old serial become unreachable and age
+/// out, so no value is ever served under the wrong game.
 ///
 /// A `capacity` of `0` disables the memo: every lookup misses and inserts
 /// are dropped, so callers can plumb one code path for both modes.
 pub struct CoalitionMemo {
-    lru: Lru<(GameKey, u64), f64>,
+    lru: Lru<(u64, u64), f64>,
+    serials: Lru<GameKey, u64>,
+    next_serial: AtomicU64,
 }
 
 impl CoalitionMemo {
     /// A memo holding at most `capacity` coalition values.
     pub fn new(capacity: usize) -> Self {
-        Self { lru: Lru::new(capacity) }
+        Self {
+            lru: Lru::new(capacity),
+            serials: Lru::new(capacity),
+            next_serial: AtomicU64::new(0),
+        }
+    }
+
+    /// The serial of `key`, interning it under a fresh one when it is not
+    /// resident. A fresh serial has no values yet, so its lookups miss.
+    fn serial(&self, key: &GameKey) -> u64 {
+        self.serials.with(|map| match map.get(key) {
+            Some(&serial) => serial,
+            None => {
+                let serial = self.next_serial.fetch_add(1, Ordering::Relaxed);
+                map.insert(*key, serial);
+                serial
+            }
+        })
     }
 
     /// Maximum resident entries (0 = disabled).
@@ -99,10 +129,11 @@ impl CoalitionMemo {
     /// number of hits. Hit entries become the most recently used.
     pub fn get_many(&self, key: &GameKey, masks: &[u64], out: &mut [Option<f64>]) -> usize {
         assert_eq!(masks.len(), out.len(), "memo lookup arity mismatch");
+        let serial = self.serial(key);
         self.lru.with(|map| {
             let mut hits = 0;
             for (&mask, slot) in masks.iter().zip(out.iter_mut()) {
-                *slot = map.get(&(*key, mask)).copied();
+                *slot = map.get(&(serial, mask)).copied();
                 hits += usize::from(slot.is_some());
             }
             hits
@@ -113,9 +144,10 @@ impl CoalitionMemo {
     /// functions of `(key, mask)`, so racing inserts of the same key are
     /// harmless — last write wins with identical bits.
     pub fn insert_many<I: IntoIterator<Item = (u64, f64)>>(&self, key: &GameKey, values: I) {
+        let serial = self.serial(key);
         self.lru.with(|map| {
             for (mask, value) in values {
-                map.insert((*key, mask), value);
+                map.insert((serial, mask), value);
             }
         });
     }
@@ -199,6 +231,28 @@ mod tests {
         let mut fresh = vec![None; 5];
         let hits = memo.get_many(&k, &[4, 5, 6, 7, 8], &mut fresh);
         assert_eq!(hits, 5, "recently touched entries must survive eviction: {fresh:?}");
+    }
+
+    #[test]
+    fn a_game_evicted_from_the_intern_table_never_sees_its_old_values() {
+        let memo = CoalitionMemo::new(2);
+        memo.insert_many(&key(1), [(5, 1.25)]);
+        // Two more games push game 1 out of the two-entry intern table
+        // (its value is still resident until the value table churns).
+        memo.insert_many(&key(2), [(6, 2.5)]);
+        let mut out = [None];
+        memo.get_many(&key(3), &[7], &mut out);
+        // Game 1 comes back under a fresh serial: its old value is not
+        // served, and the miss is counted like any other.
+        let before = memo.stats();
+        assert_eq!(memo.get_many(&key(1), &[5], &mut out), 0);
+        assert_eq!(out, [None]);
+        let after = memo.stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (0, 1));
+        // Values inserted under the new serial are served again.
+        memo.insert_many(&key(1), [(5, 3.75)]);
+        assert_eq!(memo.get_many(&key(1), &[5], &mut out), 1);
+        assert_eq!(out, [Some(3.75)]);
     }
 
     #[test]

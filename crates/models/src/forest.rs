@@ -91,31 +91,6 @@ impl RandomForest {
         acc
     }
 
-    /// Masked coalition predictions (zero-copy, DESIGN.md §12): the
-    /// ensemble average for every background row's coalition view, split
-    /// features read from `instance` where the mask bit is set. Per-row
-    /// accumulation runs in tree order then divides, the same summation as
-    /// [`RandomForest::predict_values`] — bit-identical without
-    /// materializing any mixed rows.
-    pub fn predict_values_masked(
-        &self,
-        instance: &[f64],
-        background: &Matrix,
-        mask: u64,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), background.rows(), "masked output length mismatch");
-        out.fill(0.0);
-        for tree in &self.trees {
-            for (bi, o) in out.iter_mut().enumerate() {
-                *o += tree.predict_value_masked(instance, background.row(bi), mask);
-            }
-        }
-        let n = self.trees.len() as f64;
-        for o in out.iter_mut() {
-            *o /= n;
-        }
-    }
 }
 
 impl Model for RandomForest {

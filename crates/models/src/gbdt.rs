@@ -158,31 +158,6 @@ impl Gbdt {
             .collect()
     }
 
-    /// Masked coalition margins (zero-copy, DESIGN.md §12): the raw
-    /// additive prediction for every background row's coalition view,
-    /// split features read from `instance` where the mask bit is set.
-    /// Per-row tree sums accumulate in boosting order from `0.0`, then
-    /// `base + lr·sum` — the same association as [`Gbdt::margin_batch`],
-    /// hence bit-identical without materializing any mixed rows.
-    pub fn margin_masked_into(
-        &self,
-        instance: &[f64],
-        background: &Matrix,
-        mask: u64,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), background.rows(), "masked output length mismatch");
-        out.fill(0.0);
-        for tree in &self.trees {
-            for (bi, o) in out.iter_mut().enumerate() {
-                *o += tree.predict_value_masked(instance, background.row(bi), mask);
-            }
-        }
-        for o in out.iter_mut() {
-            *o = self.base_score + self.learning_rate * *o;
-        }
-    }
-
     /// The fitted trees in boosting order.
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees

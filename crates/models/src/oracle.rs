@@ -25,9 +25,10 @@
 //! - `predict_masked` overrides route through each model's zero-copy
 //!   masked kernels (DESIGN.md §12) — linear/logistic evaluate whole
 //!   rounds through the hoisted `masked_*_many` mat-vec/affine kernels,
-//!   MLPs the masked GEMM, and the tree ensembles
-//!   route splits through `predict_value_masked` — each bit-identical to
-//!   predicting the materialized coalition view. k-NN and naive Bayes keep
+//!   MLPs the masked GEMM, and the tree, forest and GBDT route whole
+//!   background row sets through their trees in one `route_masked` pass
+//!   per round — each bit-identical to predicting the materialized
+//!   coalition view. k-NN and naive Bayes keep
 //!   the gather-into-scratch default (their batch path *is* the scalar
 //!   row loop, so the default is already canonical).
 
@@ -37,6 +38,7 @@ use xai_core::ModelOracle;
 use xai_linalg::Matrix;
 
 use crate::traits::{Classifier, Model, Regressor};
+use crate::tree::route_masked;
 use crate::{
     DecisionTree, GaussianNb, Gbdt, Knn, LinearRegression, LogisticRegression, Mlp, RandomForest,
 };
@@ -64,8 +66,7 @@ classifier_oracle!(Knn);
 classifier_oracle!(GaussianNb);
 
 /// Appends `masks.len() × background.rows()` masked predictions to `out`
-/// (coalition-major), evaluating each mask's chunk with `fill`. The shared
-/// skeleton of every per-model `predict_masked` override.
+/// (coalition-major), evaluating each mask's chunk with `fill`.
 fn masked_chunks(
     background: &Matrix,
     masks: &[u64],
@@ -90,12 +91,9 @@ impl ModelOracle for DecisionTree {
     fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
         Classifier::proba_batch(self, rows)
     }
+    /// Each row is written its leaf value, as `predict_values` does.
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
-        masked_chunks(background, masks, out, |mask, chunk| {
-            for (bi, o) in chunk.iter_mut().enumerate() {
-                *o = self.predict_value_masked(instance, background.row(bi), mask);
-            }
-        });
+        route_masked(std::slice::from_ref(self), instance, background, masks, out, |o, v| *o = v);
     }
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
@@ -112,10 +110,14 @@ impl ModelOracle for RandomForest {
     fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
         Classifier::proba_batch(self, rows)
     }
+    /// Per-row sums in tree order from `0.0`, then the mean — the same
+    /// arithmetic as `predict_values`, bit-identical either way.
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
-        masked_chunks(background, masks, out, |mask, chunk| {
-            self.predict_values_masked(instance, background, mask, chunk);
-        });
+        route_masked(self.trees(), instance, background, masks, out, |o, v| *o += v);
+        let n = self.trees().len() as f64;
+        for o in out.iter_mut() {
+            *o /= n;
+        }
     }
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
@@ -132,19 +134,19 @@ impl ModelOracle for Gbdt {
     fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
         Classifier::proba_batch(self, rows)
     }
-    /// Masked margins plus the classifier head, applied per value in the
-    /// same order as `Classifier::proba_batch` — bit-identical either way.
+    /// Per-row tree sums in boosting order from `0.0`, then `base + lr·sum`
+    /// and the classifier head — the same arithmetic as
+    /// `Classifier::proba_batch`, bit-identical either way.
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
         use crate::gbdt::GbdtLoss;
-        masked_chunks(background, masks, out, |mask, chunk| {
-            self.margin_masked_into(instance, background, mask, chunk);
-            for o in chunk.iter_mut() {
-                *o = match self.loss() {
-                    GbdtLoss::Squared => o.clamp(0.0, 1.0),
-                    GbdtLoss::Logistic => xai_data::sigmoid(*o),
-                };
-            }
-        });
+        route_masked(self.trees(), instance, background, masks, out, |o, v| *o += v);
+        for o in out.iter_mut() {
+            let margin = self.base_score() + self.learning_rate() * *o;
+            *o = match self.loss() {
+                GbdtLoss::Squared => margin.clamp(0.0, 1.0),
+                GbdtLoss::Logistic => xai_data::sigmoid(margin),
+            };
+        }
     }
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)

@@ -304,26 +304,6 @@ impl DecisionTree {
         self.nodes[self.leaf_of(x)].value
     }
 
-    /// Raw value prediction for a coalition view (zero-copy, DESIGN.md
-    /// §12): each split reads `instance[f]` when bit `f` of `mask` is set
-    /// and `row[f]` otherwise — the same comparisons [`DecisionTree::leaf_of`]
-    /// would make on the materialized mixture, so the leaf (and its value)
-    /// is identical without building the mixed row.
-    pub fn predict_value_masked(&self, instance: &[f64], row: &[f64], mask: u64) -> f64 {
-        let mut id = 0;
-        loop {
-            let node = &self.nodes[id];
-            match (node.left, node.right) {
-                (Some(l), Some(r)) => {
-                    let f = node.feature;
-                    let xv = if mask >> f & 1 == 1 { instance[f] } else { row[f] };
-                    id = if xv <= node.threshold { l } else { r };
-                }
-                _ => return node.value,
-            }
-        }
-    }
-
     /// Leaf index for every row of `x`, by node-at-a-time traversal: the
     /// row set moves down the tree together, so each node's split is
     /// loaded once per *batch* instead of once per row. Routing decisions
@@ -394,6 +374,136 @@ impl Classifier for DecisionTree {
 
     fn proba_batch(&self, x: &Matrix) -> Vec<f64> {
         self.predict_values(x)
+    }
+}
+
+/// Masked coalition predictions of a tree ensemble by row-set routing
+/// (zero-copy, DESIGN.md §12), the one kernel behind the tree, forest
+/// and GBDT `predict_masked`.
+///
+/// For each mask in `masks`, every background row's coalition view reads
+/// split feature `f` from `instance` when bit `f` is set and from the row
+/// otherwise. A coalition therefore fixes one routing per split: a node
+/// whose feature is in the mask sends the whole row set the instance's
+/// way, any other node splits it by its precomputed "row goes left"
+/// bitset. Each leaf reached calls `apply(slot, value)` once for every row
+/// in its set. The comparisons are the ones `leaf_of` makes on the
+/// materialized view, and every row meets `apply` exactly once per tree,
+/// in tree order, so per-row results are bit-identical to walking each
+/// view one tree at a time.
+///
+/// `out` is cleared and filled with `masks.len() × background.rows()`
+/// zeros (coalition-major) before the first `apply`.
+pub(crate) fn route_masked(
+    trees: &[DecisionTree],
+    instance: &[f64],
+    background: &Matrix,
+    masks: &[u64],
+    out: &mut Vec<f64>,
+    mut apply: impl FnMut(&mut f64, f64),
+) {
+    let (b, d) = background.shape();
+    assert_eq!(instance.len(), d, "predict_masked instance arity mismatch");
+    assert!(d <= 64, "predict_masked supports at most 64 features, got {d}");
+    out.clear();
+    out.resize(masks.len() * b, 0.0);
+    if b == 0 {
+        return;
+    }
+
+    // One flat table, `stride` words per node of every tree: the child
+    // the instance takes, then the "row goes left" bitset over the
+    // background (bit `r % 64` of word `r / 64`).
+    let words = b.div_ceil(64);
+    let stride = 1 + words;
+    let n_nodes: usize = trees.iter().map(|t| t.nodes.len()).sum();
+    let mut table = vec![0u64; n_nodes * stride];
+    let rows = background.as_slice();
+    let mut at = 0;
+    for tree in trees {
+        for node in &tree.nodes {
+            if let (Some(l), Some(r)) = (node.left, node.right) {
+                let (f, t) = (node.feature, node.threshold);
+                assert!(f < d, "split feature {f} is out of range for {d} columns");
+                table[at] = if instance[f] <= t { l } else { r } as u64;
+                for (w, word) in table[at + 1..at + stride].iter_mut().enumerate() {
+                    let lo = w * 64;
+                    let mut bits = 0u64;
+                    for i in lo..b.min(lo + 64) {
+                        bits |= u64::from(rows[i * d + f] <= t) << (i - lo);
+                    }
+                    *word = bits;
+                }
+            }
+            at += stride;
+        }
+    }
+
+    let mut full = vec![u64::MAX; words];
+    if b % 64 != 0 {
+        full[words - 1] = (1u64 << (b % 64)) - 1;
+    }
+    // Pending (node, row set) entries, `stride` words each; the top entry
+    // holds the set being routed down. Depth-first, so it grows with the
+    // tree depth only.
+    let mut stack: Vec<u64> = Vec::with_capacity(8 * stride);
+    for (&mask, chunk) in masks.iter().zip(out.chunks_exact_mut(b)) {
+        let mut base = 0;
+        for tree in trees {
+            stack.clear();
+            stack.push(0);
+            stack.extend_from_slice(&full);
+            let mut top = 0;
+            let mut id = 0;
+            loop {
+                let node = &tree.nodes[id];
+                let (Some(l), Some(r)) = (node.left, node.right) else {
+                    for (w, &word) in stack[top + 1..].iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            apply(&mut chunk[w * 64 + bits.trailing_zeros() as usize], node.value);
+                            bits &= bits - 1;
+                        }
+                    }
+                    stack.truncate(top);
+                    if stack.is_empty() {
+                        break;
+                    }
+                    top = stack.len() - stride;
+                    id = stack[top] as usize;
+                    continue;
+                };
+                let at = (base + id) * stride;
+                if mask >> node.feature & 1 == 1 {
+                    id = table[at] as usize;
+                    continue;
+                }
+                let goes_left = &table[at + 1..at + stride];
+                let (mut any_left, mut any_right) = (0u64, 0u64);
+                for (&set, &left) in stack[top + 1..].iter().zip(goes_left) {
+                    any_left |= set & left;
+                    any_right |= set & !left;
+                }
+                if any_right == 0 {
+                    id = l;
+                } else if any_left == 0 {
+                    id = r;
+                } else {
+                    // Leave the right part pending in place and route the
+                    // left part on, as a new top entry.
+                    stack[top] = r as u64;
+                    stack.push(l as u64);
+                    for w in 0..words {
+                        let set = stack[top + 1 + w];
+                        stack[top + 1 + w] = set & !goes_left[w];
+                        stack.push(set & goes_left[w]);
+                    }
+                    top += stride;
+                    id = l;
+                }
+            }
+            base += tree.nodes.len();
+        }
     }
 }
 

@@ -129,6 +129,141 @@ fn tree_ensemble_masked_paths_are_bit_identical() {
     }
 }
 
+/// `predict_masked` against `predict_batch` on every materialized
+/// coalition view, bit for bit (so `-0.0` and NaN count), for an empty
+/// round, a one-mask round and the whole `masks` round. `out` starts with
+/// stale contents the call must clear.
+fn assert_rounds_bit_identical(
+    name: &str,
+    oracle: &dyn ModelOracle,
+    instance: &[f64],
+    bg: &Matrix,
+    masks: &[u64],
+) {
+    let (b, d) = bg.shape();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for round in [&masks[..0], &masks[..1], masks] {
+        let mut out = vec![f64::NAN; 3];
+        oracle.predict_masked(instance, bg, round, &mut out);
+        let mut want = Vec::new();
+        for &mask in round {
+            let view = Matrix::from_fn(b, d, |i, j| {
+                if mask >> j & 1 == 1 { instance[j] } else { bg[(i, j)] }
+            });
+            want.extend(oracle.predict_batch(&view));
+        }
+        assert_eq!(bits(&out), bits(&want), "{name}: round of {} masks diverged", round.len());
+    }
+}
+
+/// The empty and grand coalitions, every singleton, and 16 seeded random
+/// coalitions over `d` features.
+fn edge_masks(d: usize) -> Vec<u64> {
+    let all = (1u64 << d) - 1;
+    let mut masks = vec![0, all];
+    masks.extend((0..d).map(|j| 1u64 << j));
+    let mut rng = StdRng::seed_from_u64(0x5E75);
+    masks.extend((0..16).map(|_| rng.gen::<u64>() & all));
+    masks
+}
+
+/// Row-set routing edge cases for the tree, forest and GBDT kernels:
+/// backgrounds past one and two 64-row words, depth-10 trees, instance
+/// and background values sitting exactly on split thresholds, and NaN
+/// on either side (it compares false, so it routes right).
+#[test]
+fn tree_ensembles_route_wide_deep_and_edge_backgrounds_bit_identically() {
+    let data = xai::data::synth::german_credit(400, 21);
+    let d = data.n_features();
+    let deep = TreeConfig { max_depth: 10, ..Default::default() };
+    let tree = DecisionTree::fit(data.x(), data.y(), deep);
+    assert!(tree.depth() > 6, "depth {}", tree.depth());
+    let forest = RandomForest::fit(
+        data.x(),
+        data.y(),
+        ForestConfig { n_trees: 6, tree: deep, seed: 3, ..Default::default() },
+    );
+    let gbdts: Vec<Gbdt> = [GbdtLoss::Logistic, GbdtLoss::Squared]
+        .into_iter()
+        .map(|loss| {
+            let tree =
+                TreeConfig { max_depth: 10, min_samples_leaf: 2, ..GbdtConfig::default().tree };
+            let config = GbdtConfig { n_rounds: 8, tree, loss, ..Default::default() };
+            Gbdt::fit(data.x(), data.y(), config)
+        })
+        .collect();
+
+    // Every (feature, threshold) split of every tree.
+    let mut splits = Vec::new();
+    let all_trees = std::iter::once(&tree)
+        .chain(forest.trees())
+        .chain(gbdts.iter().flat_map(|g| g.trees()));
+    for t in all_trees {
+        splits.extend(t.nodes().iter().filter(|n| !n.is_leaf()).map(|n| (n.feature, n.threshold)));
+    }
+
+    let instance = data.row(3).to_vec();
+    let mut on_threshold = instance.clone();
+    for &(f, t) in splits.iter().step_by(3) {
+        on_threshold[f] = t;
+    }
+    let mut with_nan = instance.clone();
+    with_nan[splits[0].0] = f64::NAN;
+    with_nan[splits[1].0] = f64::NAN;
+
+    let masks = edge_masks(d);
+    for rows in [130usize, 150] {
+        let mut bg = Matrix::from_fn(rows, d, |i, j| data.x()[(i + 40, j)]);
+        for i in 0..rows {
+            let (f, t) = splits[i % splits.len()];
+            bg[(i, f)] = t;
+            if i % 7 == 3 {
+                bg[(i, splits[(i + 1) % splits.len()].0)] = f64::NAN;
+            }
+        }
+        let instances = [("plain", &instance), ("on_threshold", &on_threshold), ("nan", &with_nan)];
+        for (which, x) in instances {
+            let name = |family: &str| format!("{family}/{rows} rows/{which} instance");
+            assert_rounds_bit_identical(&name("tree"), &tree, x, &bg, &masks);
+            assert_rounds_bit_identical(&name("forest"), &forest, x, &bg, &masks);
+            for gbdt in &gbdts {
+                assert_rounds_bit_identical(&name("gbdt"), gbdt, x, &bg, &masks);
+            }
+        }
+    }
+}
+
+/// A lone tree *writes* its leaf value, as `predict_batch` does, so a
+/// `-0.0` leaf reads `-0.0` (adding it to `0.0` would give `+0.0`); a
+/// one-tree GBDT sums from `0.0` like its batch path.
+#[test]
+fn a_single_tree_keeps_a_negative_zero_leaf() {
+    use xai_models::{SplitCriterion, TreeNode};
+    let leaf = |value: f64| TreeNode {
+        feature: 0,
+        threshold: 0.0,
+        left: None,
+        right: None,
+        value,
+        cover: 1.0,
+    };
+    let root = TreeNode { left: Some(1), right: Some(2), feature: 1, threshold: 0.5, ..leaf(0.5) };
+    let nodes = vec![root, leaf(-0.0), leaf(1.0)];
+    let tree = DecisionTree::from_parts(nodes, 3, SplitCriterion::Variance);
+    let bg = Matrix::from_fn(70, 3, |i, j| (i * 3 + j) as f64 % 2.0);
+    let instance = [0.0, 0.0, 1.0];
+    let masks = [0b010, 0b000, 0b111, 0b101];
+
+    let mut out = Vec::new();
+    tree.predict_masked(&instance, &bg, &masks[..1], &mut out);
+    let negative_zero = (-0.0f64).to_bits();
+    assert!(out.iter().all(|v| v.to_bits() == negative_zero), "instance routes left: {out:?}");
+    assert_rounds_bit_identical("tree/-0.0 leaf", &tree, &instance, &bg, &masks);
+
+    let gbdt = Gbdt::from_parts(0.0, 1.0, vec![tree], GbdtLoss::Squared, 3);
+    assert_rounds_bit_identical("gbdt/-0.0 leaf", &gbdt, &instance, &bg, &masks);
+}
+
 #[test]
 fn knn_naive_bayes_mlp_and_closure_masked_paths_are_bit_identical() {
     let data = credit();
