@@ -61,6 +61,9 @@ use crate::explanation::{
 };
 use crate::json_parse::parse_json;
 use crate::report::Json;
+use crate::shard::{
+    exact_integer, index_field, num_field, nums_field, str_field, strs_field, wire_error,
+};
 use crate::taxonomy::Registry;
 
 // ---------------------------------------------------------------------------
@@ -80,65 +83,6 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-// ---------------------------------------------------------------------------
-// JSON helpers (typed Parse errors)
-// ---------------------------------------------------------------------------
-
-fn perr(context: impl Into<String>) -> XaiError {
-    XaiError::Parse { context: context.into() }
-}
-
-fn str_field(json: &Json, key: &str, what: &str) -> XaiResult<String> {
-    match json.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(perr(format!("{what}: '{key}' must be a string"))),
-        None => Err(perr(format!("{what}: missing required field '{key}'"))),
-    }
-}
-
-fn num_field(json: &Json, key: &str, what: &str) -> XaiResult<f64> {
-    json.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| perr(format!("{what}: '{key}' must be a number")))
-}
-
-fn nums_field(json: &Json, key: &str, what: &str) -> XaiResult<Vec<f64>> {
-    let arr = json
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| perr(format!("{what}: '{key}' must be an array of numbers")))?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, v)| {
-            v.as_num().ok_or_else(|| perr(format!("{what}: {key}[{i}] is not a number")))
-        })
-        .collect()
-}
-
-fn strs_field(json: &Json, key: &str, what: &str) -> XaiResult<Vec<String>> {
-    let arr = json
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| perr(format!("{what}: '{key}' must be an array of strings")))?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, v)| match v {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(perr(format!("{what}: {key}[{i}] is not a string"))),
-        })
-        .collect()
-}
-
-/// JSON numbers standing for counts/indices/seeds must be non-negative
-/// integers representable exactly in an `f64` (≤ 2^53).
-fn integer_field(v: f64, what: &str) -> XaiResult<u64> {
-    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    if !v.is_finite() || v < 0.0 || v.fract() != 0.0 || v > MAX_EXACT {
-        return Err(perr(format!("{what} must be a non-negative integer, got {v}")));
-    }
-    Ok(v as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -257,11 +201,11 @@ impl ServeRequest {
     /// and `plan` (or explicit `null`s) fall back to the defaults.
     pub fn from_json(json: &Json) -> XaiResult<ServeRequest> {
         let Json::Obj(fields) = json else {
-            return Err(perr("ServeRequest: expected a JSON object"));
+            return Err(wire_error("ServeRequest: expected a JSON object"));
         };
         for (key, _) in fields {
             if !matches!(key.as_str(), "method" | "model" | "instance" | "feature" | "plan") {
-                return Err(perr(format!("ServeRequest: unknown field '{key}'")));
+                return Err(wire_error(format!("ServeRequest: unknown field '{key}'")));
             }
         }
         let method = str_field(json, "method", "ServeRequest")?;
@@ -279,7 +223,7 @@ impl ServeRequest {
                             })
                         }
                         None => {
-                            return Err(perr(format!(
+                            return Err(wire_error(format!(
                                 "ServeRequest: instance[{i}] is not a number"
                             )))
                         }
@@ -288,17 +232,14 @@ impl ServeRequest {
                 Some(xs)
             }
             Some(_) => {
-                return Err(perr("ServeRequest: 'instance' must be an array of numbers or null"))
+                return Err(wire_error(
+                    "ServeRequest: 'instance' must be an array of numbers or null",
+                ))
             }
         };
         let feature = match json.get("feature") {
             None | Some(Json::Null) => None,
-            Some(v) => {
-                let n = v
-                    .as_num()
-                    .ok_or_else(|| perr("ServeRequest: 'feature' must be a number or null"))?;
-                Some(integer_field(n, "ServeRequest feature")? as usize)
-            }
+            Some(_) => Some(index_field(json, "feature", "ServeRequest")?),
         };
         let plan = match json.get("plan") {
             None | Some(Json::Null) => RunConfig::default(),
@@ -347,7 +288,7 @@ pub(crate) fn plan_to_json(p: &RunConfig) -> Json {
 
 pub(crate) fn parse_plan(json: &Json) -> XaiResult<RunConfig> {
     let Json::Obj(fields) = json else {
-        return Err(perr("ServeRequest: 'plan' must be an object or null"));
+        return Err(wire_error("ServeRequest: 'plan' must be an object or null"));
     };
     for (key, _) in fields {
         if !matches!(
@@ -360,46 +301,34 @@ pub(crate) fn parse_plan(json: &Json) -> XaiResult<RunConfig> {
                 | "degradation"
                 | "backend"
         ) {
-            return Err(perr(format!("ServeRequest plan: unknown field '{key}'")));
+            return Err(wire_error(format!("ServeRequest plan: unknown field '{key}'")));
         }
     }
+    const WHAT: &str = "ServeRequest plan";
     let mut plan = RunConfig::default();
-    if let Some(v) = json.get("seed") {
-        let n = v.as_num().ok_or_else(|| perr("ServeRequest plan: 'seed' must be a number"))?;
-        plan.seed = integer_field(n, "ServeRequest plan seed")?;
+    if json.get("seed").is_some() {
+        plan.seed = index_field(json, "seed", WHAT)? as u64;
     }
-    if let Some(v) = json.get("workers") {
-        let n = v.as_num().ok_or_else(|| perr("ServeRequest plan: 'workers' must be a number"))?;
-        let w = integer_field(n, "ServeRequest plan workers")? as usize;
+    if json.get("workers").is_some() {
+        let w = index_field(json, "workers", WHAT)?;
         if w == 0 {
-            return Err(perr("ServeRequest plan: workers must be >= 1"));
+            return Err(wire_error("ServeRequest plan: workers must be >= 1"));
         }
         plan.workers = w;
     }
     if let Some(v) = json.get("batched") {
         plan.batched = match v {
             Json::Bool(b) => *b,
-            _ => return Err(perr("ServeRequest plan: 'batched' must be a boolean")),
+            _ => return Err(wire_error("ServeRequest plan: 'batched' must be a boolean")),
         };
     }
     let mut budget = SampleBudget::unlimited();
-    match json.get("max_evals") {
-        None | Some(Json::Null) => {}
-        Some(v) => {
-            let n =
-                v.as_num().ok_or_else(|| perr("ServeRequest plan: 'max_evals' must be a number"))?;
-            budget.max_evals = Some(integer_field(n, "ServeRequest plan max_evals")? as usize);
-        }
+    if !matches!(json.get("max_evals"), None | Some(Json::Null)) {
+        budget.max_evals = Some(index_field(json, "max_evals", WHAT)?);
     }
-    match json.get("max_duration_ms") {
-        None | Some(Json::Null) => {}
-        Some(v) => {
-            let n = v
-                .as_num()
-                .ok_or_else(|| perr("ServeRequest plan: 'max_duration_ms' must be a number"))?;
-            let ms = integer_field(n, "ServeRequest plan max_duration_ms")?;
-            budget.max_duration = Some(Duration::from_millis(ms));
-        }
+    if !matches!(json.get("max_duration_ms"), None | Some(Json::Null)) {
+        let ms = index_field(json, "max_duration_ms", WHAT)?;
+        budget.max_duration = Some(Duration::from_millis(ms as u64));
     }
     plan.budget = budget;
     if let Some(v) = json.get("degradation") {
@@ -407,7 +336,7 @@ pub(crate) fn parse_plan(json: &Json) -> XaiResult<RunConfig> {
             Json::Str(s) if s == "best_effort" => DegradationPolicy::BestEffort,
             Json::Str(s) if s == "strict" => DegradationPolicy::Strict,
             _ => {
-                return Err(perr(
+                return Err(wire_error(
                     "ServeRequest plan: 'degradation' must be \"best_effort\" or \"strict\"",
                 ))
             }
@@ -439,7 +368,7 @@ fn op_from_name(s: &str) -> XaiResult<Op> {
         "le" => Ok(Op::Le),
         "gt" => Ok(Op::Gt),
         "eq" => Ok(Op::Eq),
-        other => Err(perr(format!("rule condition: unknown op '{other}'"))),
+        other => Err(wire_error(format!("rule condition: unknown op '{other}'"))),
     }
 }
 
@@ -453,8 +382,7 @@ fn condition_to_json(c: &Condition) -> Json {
 }
 
 fn condition_from_json(json: &Json) -> XaiResult<Condition> {
-    let feature = integer_field(num_field(json, "feature", "rule condition")?, "condition feature")?
-        as usize;
+    let feature = index_field(json, "feature", "rule condition")?;
     let feature_name = str_field(json, "name", "rule condition")?;
     let op = op_from_name(&str_field(json, "op", "rule condition")?)?;
     let value = num_field(json, "value", "rule condition")?;
@@ -474,7 +402,7 @@ fn rule_from_json(json: &Json) -> XaiResult<RuleExplanation> {
     let conditions = json
         .get("conditions")
         .and_then(Json::as_arr)
-        .ok_or_else(|| perr("rule: 'conditions' must be an array"))?
+        .ok_or_else(|| wire_error("rule: 'conditions' must be an array"))?
         .iter()
         .map(condition_from_json)
         .collect::<XaiResult<Vec<_>>>()?;
@@ -503,7 +431,7 @@ fn counterfactual_to_json(c: &Counterfactual) -> Json {
 fn counterfactual_from_json(json: &Json) -> XaiResult<Counterfactual> {
     let changed = nums_field(json, "changed_features", "counterfactual")?
         .into_iter()
-        .map(|v| integer_field(v, "counterfactual changed feature").map(|n| n as usize))
+        .map(|v| exact_integer(v, "counterfactual changed feature").map(|n| n as usize))
         .collect::<XaiResult<Vec<_>>>()?;
     Ok(Counterfactual {
         original: nums_field(json, "original", "counterfactual")?,
@@ -577,7 +505,7 @@ impl Explanation {
                 let names = strs_field(json, "features", "feature_attribution")?;
                 let values = nums_field(json, "values", "feature_attribution")?;
                 if names.len() != values.len() {
-                    return Err(perr(format!(
+                    return Err(wire_error(format!(
                         "feature_attribution: {} names vs {} values",
                         names.len(),
                         values.len()
@@ -594,7 +522,7 @@ impl Explanation {
                 let rules = json
                     .get("rules")
                     .and_then(Json::as_arr)
-                    .ok_or_else(|| perr("rules: 'rules' must be an array"))?
+                    .ok_or_else(|| wire_error("rules: 'rules' must be an array"))?
                     .iter()
                     .map(rule_from_json)
                     .collect::<XaiResult<Vec<_>>>()?;
@@ -604,7 +532,9 @@ impl Explanation {
                 let cfs = json
                     .get("counterfactuals")
                     .and_then(Json::as_arr)
-                    .ok_or_else(|| perr("counterfactuals: 'counterfactuals' must be an array"))?
+                    .ok_or_else(|| {
+                        wire_error("counterfactuals: 'counterfactuals' must be an array")
+                    })?
                     .iter()
                     .map(counterfactual_from_json)
                     .collect::<XaiResult<Vec<_>>>()?;
@@ -622,28 +552,33 @@ impl Explanation {
                             .enumerate()
                             .map(|(i, row)| {
                                 row.as_arr()
-                                    .ok_or_else(|| perr(format!("curve: ice[{i}] is not an array")))?
+                                    .ok_or_else(|| {
+                                        wire_error(format!("curve: ice[{i}] is not an array"))
+                                    })?
                                     .iter()
                                     .map(|v| {
                                         v.as_num().ok_or_else(|| {
-                                            perr(format!("curve: ice[{i}] holds a non-number"))
+                                            wire_error(format!(
+                                                "curve: ice[{i}] holds a non-number"
+                                            ))
                                         })
                                     })
                                     .collect::<XaiResult<Vec<f64>>>()
                             })
                             .collect::<XaiResult<Vec<_>>>()?,
                     ),
-                    Some(_) => return Err(perr("curve: 'ice' must be an array of arrays or null")),
+                    Some(_) => {
+                        return Err(wire_error("curve: 'ice' must be an array of arrays or null"))
+                    }
                 };
                 Ok(Explanation::Curve(CurveExplanation {
-                    feature: integer_field(num_field(json, "feature", "curve")?, "curve feature")?
-                        as usize,
+                    feature: index_field(json, "feature", "curve")?,
                     grid: nums_field(json, "grid", "curve")?,
                     values: nums_field(json, "values", "curve")?,
                     ice,
                 }))
             }
-            other => Err(perr(format!("Explanation: unknown kind '{other}'"))),
+            other => Err(wire_error(format!("Explanation: unknown kind '{other}'"))),
         }
     }
 
@@ -1020,7 +955,7 @@ impl ExplanationService {
     /// never execute, charged before any queue capacity is consumed.
     fn validate(&self, request: &ServeRequest) -> XaiResult<()> {
         if self.inner.registry.get(&request.method).is_none() {
-            return Err(perr(format!("unknown method '{}'", request.method)));
+            return Err(wire_error(format!("unknown method '{}'", request.method)));
         }
         if !self.inner.registry.is_runnable(&request.method) {
             return Err(XaiError::Unsupported {
@@ -1033,7 +968,7 @@ impl ExplanationService {
         let entry = lock(&self.inner.models)
             .get(&request.model)
             .cloned()
-            .ok_or_else(|| perr(format!("unknown model '{}'", request.model)))?;
+            .ok_or_else(|| wire_error(format!("unknown model '{}'", request.model)))?;
         if let Some(instance) = &request.instance {
             if let Some(i) = instance.iter().position(|v| !v.is_finite()) {
                 return Err(XaiError::NonFiniteInput {
@@ -1042,7 +977,7 @@ impl ExplanationService {
             }
             let arity = entry.oracle.n_features();
             if instance.len() != arity {
-                return Err(perr(format!(
+                return Err(wire_error(format!(
                     "instance arity {} does not match model '{}' arity {arity}",
                     instance.len(),
                     request.model
@@ -1052,7 +987,7 @@ impl ExplanationService {
         if let Some(j) = request.feature {
             let d = entry.data.n_features();
             if j >= d {
-                return Err(perr(format!(
+                return Err(wire_error(format!(
                     "feature index {j} out of range for model '{}' with {d} features",
                     request.model
                 )));
@@ -1185,11 +1120,13 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
     let entry = lock(&inner.models)
         .get(&request.model)
         .cloned()
-        .ok_or_else(|| perr(format!("model '{}' was unregistered mid-flight", request.model)))?;
+        .ok_or_else(|| {
+            wire_error(format!("model '{}' was unregistered mid-flight", request.model))
+        })?;
     let explainer = inner
         .registry
         .get_explainer(&request.method)
-        .ok_or_else(|| perr(format!("unknown method '{}'", request.method)))?;
+        .ok_or_else(|| wire_error(format!("unknown method '{}'", request.method)))?;
     let key = (entry.fingerprint, request.canonical_hash());
 
     if let Some(payload) = inner.cache.get(&key) {

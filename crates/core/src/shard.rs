@@ -34,7 +34,9 @@
 //!   rebuild the request from a descriptor, run the chunk range, return
 //!   the result. The process-pool runner itself lives in
 //!   [`crate::backend`] ([`crate::backend::ProcessPoolBackend`]); the
-//!   facade (`xai::shard`) supplies the model/method factories.
+//!   facade (`xai::shard`) supplies the method table and the model
+//!   decoder, and each method rebuilds itself from its config
+//!   ([`ShardableExplainer::from_config_json`]).
 
 use std::ops::Range;
 
@@ -47,7 +49,8 @@ use crate::report::Json;
 use crate::serve::{fingerprint_bytes, parse_plan, plan_to_json};
 
 // ---------------------------------------------------------------------------
-// Wire helpers (typed Parse errors), shared with the method crates
+// Wire helpers (typed Parse errors): the one set of typed JSON field
+// readers, shared with serve, the model codec and the method crates
 // ---------------------------------------------------------------------------
 
 /// Builds the typed [`XaiError::Parse`] every wire helper reports.
@@ -107,16 +110,20 @@ pub fn arr_field<'a>(json: &'a Json, key: &str, what: &str) -> XaiResult<&'a [Js
         .ok_or_else(|| wire_error(format!("{what}: '{key}' must be an array")))
 }
 
-/// Required non-negative integer field (exactly representable in `f64`).
-pub fn index_field(json: &Json, key: &str, what: &str) -> XaiResult<usize> {
+/// A JSON number standing for a count, index or seed: a non-negative
+/// integer exactly representable in an `f64` (≤ 2^53).
+pub fn exact_integer(v: f64, what: impl std::fmt::Display) -> XaiResult<u64> {
     const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    let v = num_field(json, key, what)?;
     if !v.is_finite() || v < 0.0 || v.fract() != 0.0 || v > MAX_EXACT {
-        return Err(wire_error(format!(
-            "{what}: '{key}' must be a non-negative integer, got {v}"
-        )));
+        return Err(wire_error(format!("{what} must be a non-negative integer, got {v}")));
     }
-    Ok(v as usize)
+    Ok(v as u64)
+}
+
+/// Required non-negative integer field ([`exact_integer`]).
+pub fn index_field(json: &Json, key: &str, what: &str) -> XaiResult<usize> {
+    let v = num_field(json, key, what)?;
+    Ok(exact_integer(v, format_args!("{what}: '{key}'"))? as usize)
 }
 
 /// Standard partial payload: a `{"chunks": [...]}` object wrapping the
@@ -241,6 +248,18 @@ pub trait ShardableExplainer: Explainer {
     /// The method configuration as canonical JSON, so a descriptor can
     /// reconstruct this explainer in another process.
     fn config_json(&self) -> Json;
+
+    /// Rebuilds this method from a [`ShardableExplainer::config_json`]
+    /// document — the worker-side inverse, called on the catalogued
+    /// instance of the descriptor's card. Malformed configs are typed
+    /// [`XaiError::Parse`] errors; so is a method that cannot be rebuilt
+    /// (the default, for wrappers that only decorate another method).
+    fn from_config_json(&self, _config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        Err(wire_error(format!(
+            "shard method: '{}' cannot be rebuilt from a config",
+            self.card().name
+        )))
+    }
 }
 
 // ---------------------------------------------------------------------------

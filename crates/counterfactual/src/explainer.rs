@@ -179,21 +179,6 @@ impl Explainer for DiceMethod {
 }
 
 impl DiceMethod {
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        const WHAT: &str = "DiCE config";
-        Ok(Self {
-            config: DiceConfig {
-                k: index_field(config, "k", WHAT)?,
-                proximity_weight: num_field(config, "proximity_weight", WHAT)?,
-                diversity_weight: num_field(config, "diversity_weight", WHAT)?,
-                sparsity_weight: num_field(config, "sparsity_weight", WHAT)?,
-                iterations: index_field(config, "iterations", WHAT)?,
-                restarts: index_field(config, "restarts", WHAT)?,
-            },
-        })
-    }
-
     /// Size of the candidate pool the chunk layout searches.
     fn pool(&self) -> usize {
         (self.config.k * self.config.restarts.max(1)).max(1)
@@ -308,6 +293,20 @@ impl ShardableExplainer for DiceMethod {
             ("iterations", Json::Num(self.config.iterations as f64)),
             ("restarts", Json::Num(self.config.restarts as f64)),
         ])
+    }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        const WHAT: &str = "DiCE config";
+        Ok(Box::new(Self {
+            config: DiceConfig {
+                k: index_field(config, "k", WHAT)?,
+                proximity_weight: num_field(config, "proximity_weight", WHAT)?,
+                diversity_weight: num_field(config, "diversity_weight", WHAT)?,
+                sparsity_weight: num_field(config, "sparsity_weight", WHAT)?,
+                iterations: index_field(config, "iterations", WHAT)?,
+                restarts: index_field(config, "restarts", WHAT)?,
+            },
+        }))
     }
 }
 

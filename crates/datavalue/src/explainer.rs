@@ -101,14 +101,6 @@ impl Explainer for LooMethod {
     }
 }
 
-impl LooMethod {
-    /// Rebuilds the method from its canonical shard-config JSON (LOO has
-    /// no tunables, so any object is accepted).
-    pub fn from_config_json(_config: &Json) -> XaiResult<Self> {
-        Ok(Self)
-    }
-}
-
 impl ShardableExplainer for LooMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         reject_budget("Leave-one-out", req)?;
@@ -178,6 +170,11 @@ impl ShardableExplainer for LooMethod {
     fn config_json(&self) -> Json {
         Json::obj(vec![])
     }
+
+    /// LOO has no tunables, so any object is accepted.
+    fn from_config_json(&self, _config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        Ok(Box::new(Self))
+    }
 }
 
 /// Truncated Monte-Carlo data Shapley (§2.3.1) through the unified
@@ -208,18 +205,6 @@ impl Explainer for TmcMethod {
 
     fn as_shardable(&self) -> Option<&dyn ShardableExplainer> {
         Some(self)
-    }
-}
-
-impl TmcMethod {
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        let permutations = index_field(config, "permutations", "TMC config")?;
-        if permutations == 0 {
-            return Err(wire_error("TMC config: permutations must be >= 1"));
-        }
-        let truncation_tolerance = num_field(config, "truncation_tolerance", "TMC config")?;
-        Ok(Self { config: TmcConfig { permutations, truncation_tolerance, seed: 0 } })
     }
 }
 
@@ -299,6 +284,15 @@ impl ShardableExplainer for TmcMethod {
             ("truncation_tolerance", Json::Num(self.config.truncation_tolerance)),
         ])
     }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        let permutations = index_field(config, "permutations", "TMC config")?;
+        if permutations == 0 {
+            return Err(wire_error("TMC config: permutations must be >= 1"));
+        }
+        let truncation_tolerance = num_field(config, "truncation_tolerance", "TMC config")?;
+        Ok(Box::new(Self { config: TmcConfig { permutations, truncation_tolerance, seed: 0 } }))
+    }
 }
 
 /// Monte-Carlo data Banzhaf valuation (§2.3.1) through the unified
@@ -330,17 +324,6 @@ impl Explainer for BanzhafMethod {
 
     fn as_shardable(&self) -> Option<&dyn ShardableExplainer> {
         Some(self)
-    }
-}
-
-impl BanzhafMethod {
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        let samples_per_point = index_field(config, "samples_per_point", "Banzhaf config")?;
-        if samples_per_point == 0 {
-            return Err(wire_error("Banzhaf config: samples_per_point must be >= 1"));
-        }
-        Ok(Self { config: BanzhafConfig { samples_per_point, seed: 0 } })
     }
 }
 
@@ -401,6 +384,14 @@ impl ShardableExplainer for BanzhafMethod {
 
     fn config_json(&self) -> Json {
         Json::obj(vec![("samples_per_point", Json::Num(self.config.samples_per_point as f64))])
+    }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        let samples_per_point = index_field(config, "samples_per_point", "Banzhaf config")?;
+        if samples_per_point == 0 {
+            return Err(wire_error("Banzhaf config: samples_per_point must be >= 1"));
+        }
+        Ok(Box::new(Self { config: BanzhafConfig { samples_per_point, seed: 0 } }))
     }
 }
 

@@ -42,7 +42,7 @@ pub use logistic::{LogisticConfig, LogisticRegression};
 pub use mlp::{Mlp, MlpConfig, MlpTask};
 pub use naive_bayes::GaussianNb;
 pub use persist::{
-    load_from_file, model_fingerprint, persisted_bytes, save_to_file, Persist, PersistError,
+    decode_model, load_from_file, model_fingerprint, persisted_bytes, save_to_file, Persist,
 };
 pub use traits::{
     batch_from_scalar, batch_proba_fn, batch_regress_fn, proba_fn, regress_fn, BatchPredictFn,

@@ -72,8 +72,8 @@ impl LogisticRegression {
     /// convex, so the optimum reached is the same; what changes is the
     /// iteration count — from a nearby optimum (one row added or removed)
     /// Newton converges in 1–2 steps instead of the usual 6–8. This is the
-    /// logistic half of the incremental-training engine (§3: PrIU [77],
-    /// HedgeCut [59]); the ridge half lives in `xai-linalg`'s rank-one
+    /// logistic half of the incremental-training engine (§3: PrIU \[77\],
+    /// HedgeCut \[59\]); the ridge half lives in `xai-linalg`'s rank-one
     /// Cholesky kernels.
     pub fn fit_warm(x: &Matrix, y: &[f64], config: LogisticConfig, init: &[f64]) -> Self {
         Self::fit_weighted_warm(x, y, &vec![1.0; y.len()], config, init)

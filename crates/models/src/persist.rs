@@ -11,45 +11,23 @@ use crate::linear::LinearRegression;
 use crate::logistic::LogisticRegression;
 use crate::tree::{DecisionTree, SplitCriterion, TreeNode};
 use xai_core::report::Json;
-
-/// Persistence errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PersistError(pub String);
-
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "model persistence error: {}", self.0)
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<PersistError> for xai_core::XaiError {
-    fn from(e: PersistError) -> Self {
-        xai_core::XaiError::Parse { context: e.to_string() }
-    }
-}
+use xai_core::shard::{arr_field, index_field, num_field, nums_field, str_field, wire_error};
+use xai_core::{ModelOracle, XaiError, XaiResult};
 
 /// Saves a model to a JSON file, propagating I/O failures as
-/// [`xai_core::XaiError::Io`].
-pub fn save_to_file<M: Persist>(
-    model: &M,
-    path: impl AsRef<std::path::Path>,
-) -> xai_core::XaiResult<()> {
+/// [`XaiError::Io`].
+pub fn save_to_file<M: Persist>(model: &M, path: impl AsRef<std::path::Path>) -> XaiResult<()> {
     let path = path.as_ref();
-    std::fs::write(path, model.save().to_json())
-        .map_err(|e| xai_core::XaiError::from_io(&e, path.display()))
+    std::fs::write(path, model.save().to_json()).map_err(|e| XaiError::from_io(&e, path.display()))
 }
 
 /// Loads a model from a JSON file. A missing file comes back as
-/// [`xai_core::XaiError::Io`]; a truncated or malformed document as
-/// [`xai_core::XaiError::Parse`] — never a process abort.
-pub fn load_from_file<M: Persist>(path: impl AsRef<std::path::Path>) -> xai_core::XaiResult<M> {
+/// [`XaiError::Io`]; a truncated or malformed document as
+/// [`XaiError::Parse`] — never a process abort.
+pub fn load_from_file<M: Persist>(path: impl AsRef<std::path::Path>) -> XaiResult<M> {
     let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| xai_core::XaiError::from_io(&e, path.display()))?;
-    let json = xai_core::parse_json(&text)?;
-    Ok(M::load(&json)?)
+    let text = std::fs::read_to_string(path).map_err(|e| XaiError::from_io(&e, path.display()))?;
+    M::load(&xai_core::parse_json(&text)?)
 }
 
 /// The model's canonical persisted byte representation: the compact JSON
@@ -68,31 +46,45 @@ pub fn model_fingerprint<M: Persist>(model: &M) -> u64 {
     xai_core::serve::fingerprint_bytes(&persisted_bytes(model))
 }
 
-fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, PersistError> {
-    j.get(key).ok_or_else(|| PersistError(format!("missing field '{key}'")))
-}
-
-fn num(j: &Json, key: &str) -> Result<f64, PersistError> {
-    field(j, key)?
-        .as_num()
-        .ok_or_else(|| PersistError(format!("field '{key}' is not a number")))
-}
-
-fn nums(j: &Json, key: &str) -> Result<Vec<f64>, PersistError> {
-    field(j, key)?
-        .as_arr()
-        .ok_or_else(|| PersistError(format!("field '{key}' is not an array")))?
-        .iter()
-        .map(|v| v.as_num().ok_or_else(|| PersistError(format!("non-number in '{key}'"))))
-        .collect()
+/// The one model decoder: rebuilds any persistable workspace model from
+/// its JSON, dispatching on the `"kind"` tag, and returns the concrete
+/// model — so every [`ModelOracle`] method, `predict_masked` included,
+/// is the model's own — together with its [`persisted_bytes`]. Unknown
+/// kinds and malformed documents are typed [`XaiError::Parse`] errors.
+pub fn decode_model(json: &Json) -> XaiResult<(Box<dyn ModelOracle>, Vec<u8>)> {
+    fn decode<M>(json: &Json) -> XaiResult<(Box<dyn ModelOracle>, Vec<u8>)>
+    where
+        M: Persist + ModelOracle + 'static,
+    {
+        let model = M::load(json)?;
+        let bytes = persisted_bytes(&model);
+        Ok((Box::new(model), bytes))
+    }
+    match str_field(json, "kind", "persisted model")?.as_str() {
+        "linear_regression" => decode::<LinearRegression>(json),
+        "logistic_regression" => decode::<LogisticRegression>(json),
+        "decision_tree" => decode::<DecisionTree>(json),
+        "gbdt" => decode::<Gbdt>(json),
+        other => Err(wire_error(format!("persisted model: unknown model kind '{other}'"))),
+    }
 }
 
 /// Serializable surface for models.
 pub trait Persist: Sized {
     /// Renders the model as JSON.
     fn save(&self) -> Json;
-    /// Restores a model from JSON.
-    fn load(json: &Json) -> Result<Self, PersistError>;
+    /// Restores a model from JSON; malformed documents are typed
+    /// [`XaiError::Parse`] errors.
+    fn load(json: &Json) -> XaiResult<Self>;
+}
+
+/// Checks a document's `"kind"` tag.
+fn expect_kind(json: &Json, kind: &str) -> XaiResult<()> {
+    let found = str_field(json, "kind", kind)?;
+    if found != kind {
+        return Err(wire_error(format!("{kind}: kind mismatch, got '{found}'")));
+    }
+    Ok(())
 }
 
 impl Persist for LinearRegression {
@@ -104,11 +96,13 @@ impl Persist for LinearRegression {
         ])
     }
 
-    fn load(json: &Json) -> Result<Self, PersistError> {
-        if field(json, "kind")?.as_str() != Some("linear_regression") {
-            return Err(PersistError("kind mismatch: expected linear_regression".into()));
-        }
-        Ok(LinearRegression::from_parameters(num(json, "intercept")?, nums(json, "coef")?))
+    fn load(json: &Json) -> XaiResult<Self> {
+        const WHAT: &str = "linear_regression";
+        expect_kind(json, WHAT)?;
+        Ok(LinearRegression::from_parameters(
+            num_field(json, "intercept", WHAT)?,
+            nums_field(json, "coef", WHAT)?,
+        ))
     }
 }
 
@@ -122,14 +116,13 @@ impl Persist for LogisticRegression {
         ])
     }
 
-    fn load(json: &Json) -> Result<Self, PersistError> {
-        if field(json, "kind")?.as_str() != Some("logistic_regression") {
-            return Err(PersistError("kind mismatch: expected logistic_regression".into()));
-        }
+    fn load(json: &Json) -> XaiResult<Self> {
+        const WHAT: &str = "logistic_regression";
+        expect_kind(json, WHAT)?;
         Ok(LogisticRegression::from_parameters(
-            num(json, "intercept")?,
-            &nums(json, "coef")?,
-            num(json, "l2")?,
+            num_field(json, "intercept", WHAT)?,
+            &nums_field(json, "coef", WHAT)?,
+            num_field(json, "l2", WHAT)?,
         ))
     }
 }
@@ -145,20 +138,19 @@ fn node_to_json(n: &TreeNode) -> Json {
     ])
 }
 
-fn node_from_json(j: &Json) -> Result<TreeNode, PersistError> {
-    let opt_idx = |key: &str| -> Result<Option<usize>, PersistError> {
-        match field(j, key)? {
-            Json::Null => Ok(None),
-            v => Ok(Some(v.as_num().ok_or_else(|| PersistError(format!("bad '{key}'")))? as usize)),
-        }
+fn node_from_json(j: &Json) -> XaiResult<TreeNode> {
+    const WHAT: &str = "decision_tree node";
+    let child = |key: &str| match j.get(key) {
+        Some(Json::Null) => Ok(None),
+        _ => index_field(j, key, WHAT).map(Some),
     };
     Ok(TreeNode {
-        feature: num(j, "feature")? as usize,
-        threshold: num(j, "threshold")?,
-        left: opt_idx("left")?,
-        right: opt_idx("right")?,
-        value: num(j, "value")?,
-        cover: num(j, "cover")?,
+        feature: index_field(j, "feature", WHAT)?,
+        threshold: num_field(j, "threshold", WHAT)?,
+        left: child("left")?,
+        right: child("right")?,
+        value: num_field(j, "value", WHAT)?,
+        cover: num_field(j, "cover", WHAT)?,
     })
 }
 
@@ -178,37 +170,51 @@ impl Persist for DecisionTree {
         ])
     }
 
-    fn load(json: &Json) -> Result<Self, PersistError> {
-        if field(json, "kind")?.as_str() != Some("decision_tree") {
-            return Err(PersistError("kind mismatch: expected decision_tree".into()));
-        }
-        let criterion = match field(json, "criterion")?.as_str() {
-            Some("gini") => SplitCriterion::Gini,
-            Some("variance") => SplitCriterion::Variance,
-            other => return Err(PersistError(format!("bad criterion {other:?}"))),
+    /// Accepts only the shape the CART builder produces, so prediction
+    /// always terminates in bounds: every split has both children, every
+    /// child comes after its parent and has no other parent (the nodes
+    /// form one tree rooted at node 0), and every split feature is below
+    /// `n_features`.
+    fn load(json: &Json) -> XaiResult<Self> {
+        const WHAT: &str = "decision_tree";
+        expect_kind(json, WHAT)?;
+        let criterion = match str_field(json, "criterion", WHAT)?.as_str() {
+            "gini" => SplitCriterion::Gini,
+            "variance" => SplitCriterion::Variance,
+            other => return Err(wire_error(format!("{WHAT}: unknown criterion '{other}'"))),
         };
-        let nodes = field(json, "nodes")?
-            .as_arr()
-            .ok_or_else(|| PersistError("'nodes' is not an array".into()))?
+        let n_features = index_field(json, "n_features", WHAT)?;
+        let nodes = arr_field(json, "nodes", WHAT)?
             .iter()
             .map(node_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<XaiResult<Vec<_>>>()?;
         if nodes.is_empty() {
-            return Err(PersistError("tree has no nodes".into()));
+            return Err(wire_error(format!("{WHAT}: tree has no nodes")));
         }
-        // Validate child indices before constructing.
+        let mut has_parent = vec![false; nodes.len()];
         for (i, n) in nodes.iter().enumerate() {
-            for child in [n.left, n.right].into_iter().flatten() {
-                if child >= nodes.len() || child == i {
-                    return Err(PersistError(format!("node {i} has invalid child {child}")));
+            let (l, r) = match (n.left, n.right) {
+                (None, None) => continue,
+                (Some(l), Some(r)) => (l, r),
+                _ => return Err(wire_error(format!("{WHAT}: node {i} has exactly one child"))),
+            };
+            if n.feature >= n_features {
+                return Err(wire_error(format!(
+                    "{WHAT}: node {i} splits on feature {} of {n_features}",
+                    n.feature
+                )));
+            }
+            for child in [l, r] {
+                if child <= i || child >= nodes.len() || has_parent[child] {
+                    return Err(wire_error(format!("{WHAT}: node {i} has invalid child {child}")));
                 }
+                has_parent[child] = true;
             }
         }
-        Ok(DecisionTree::from_parts(
-            nodes,
-            num(json, "n_features")? as usize,
-            criterion,
-        ))
+        if let Some(orphan) = (1..nodes.len()).find(|&i| !has_parent[i]) {
+            return Err(wire_error(format!("{WHAT}: node {orphan} has no parent")));
+        }
+        Ok(DecisionTree::from_parts(nodes, n_features, criterion))
     }
 }
 
@@ -230,28 +236,30 @@ impl Persist for Gbdt {
         ])
     }
 
-    fn load(json: &Json) -> Result<Self, PersistError> {
-        if field(json, "kind")?.as_str() != Some("gbdt") {
-            return Err(PersistError("kind mismatch: expected gbdt".into()));
-        }
-        let loss = match field(json, "loss")?.as_str() {
-            Some("squared") => GbdtLoss::Squared,
-            Some("logistic") => GbdtLoss::Logistic,
-            other => return Err(PersistError(format!("bad loss {other:?}"))),
+    fn load(json: &Json) -> XaiResult<Self> {
+        const WHAT: &str = "gbdt";
+        expect_kind(json, WHAT)?;
+        let loss = match str_field(json, "loss", WHAT)?.as_str() {
+            "squared" => GbdtLoss::Squared,
+            "logistic" => GbdtLoss::Logistic,
+            other => return Err(wire_error(format!("{WHAT}: unknown loss '{other}'"))),
         };
-        let trees = field(json, "trees")?
-            .as_arr()
-            .ok_or_else(|| PersistError("'trees' is not an array".into()))?
+        let learning_rate = num_field(json, "learning_rate", WHAT)?;
+        if learning_rate.is_nan() || learning_rate <= 0.0 {
+            return Err(wire_error(format!(
+                "{WHAT}: learning_rate must be > 0, got {learning_rate}"
+            )));
+        }
+        let n_features = index_field(json, "n_features", WHAT)?;
+        let trees = arr_field(json, "trees", WHAT)?
             .iter()
             .map(DecisionTree::load)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Gbdt::from_parts(
-            num(json, "base_score")?,
-            num(json, "learning_rate")?,
-            trees,
-            loss,
-            num(json, "n_features")? as usize,
-        ))
+            .collect::<XaiResult<Vec<_>>>()?;
+        if let Some(k) = trees.iter().position(|t| ModelOracle::n_features(t) != n_features) {
+            return Err(wire_error(format!("{WHAT}: tree {k} does not have {n_features} features")));
+        }
+        let base_score = num_field(json, "base_score", WHAT)?;
+        Ok(Gbdt::from_parts(base_score, learning_rate, trees, loss, n_features))
     }
 }
 
@@ -343,5 +351,52 @@ mod tests {
         )
         .unwrap();
         assert!(DecisionTree::load(&bad).is_err());
+    }
+
+    /// Documents that loaded before the shape check and then hung or
+    /// panicked at predict time: a 2-node cycle, a split on a feature the
+    /// model does not have, and a fractional negative `n_features`.
+    #[test]
+    fn malformed_trees_are_parse_errors_before_any_predict() {
+        let doc = |n_features: &str, nodes: &str| {
+            let head = r#""kind":"decision_tree","criterion":"gini""#;
+            parse_json(&format!(r#"{{{head},"n_features":{n_features},"nodes":[{nodes}]}}"#))
+                .unwrap()
+        };
+        let leaf = r#"{"feature":0,"threshold":0,"left":null,"right":null,"value":0.5,"cover":1}"#;
+        let cycle = doc(
+            "2",
+            &format!(
+                r#"{{"feature":0,"threshold":0.5,"left":1,"right":2,"value":0.5,"cover":2}},
+                   {{"feature":1,"threshold":0.5,"left":0,"right":0,"value":0.5,"cover":1}},{leaf}"#
+            ),
+        );
+        let wide_split = doc(
+            "2",
+            &format!(
+                r#"{{"feature":99,"threshold":0.5,"left":1,"right":2,"value":0.5,"cover":2}},
+                   {leaf},{leaf}"#
+            ),
+        );
+        let negative_width = doc("-3.5", leaf);
+        let cases = [("cycle", cycle), ("wide split", wide_split), ("width", negative_width)];
+        for (name, json) in cases {
+            let err = DecisionTree::load(&json).map(|_| ()).unwrap_err();
+            assert!(matches!(err, xai_core::XaiError::Parse { .. }), "{name}: {err}");
+            let err = decode_model(&json).map(|_| ()).unwrap_err();
+            assert!(matches!(err, xai_core::XaiError::Parse { .. }), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn decode_model_returns_the_concrete_model_and_its_canonical_bytes() {
+        let data = german_credit(120, 3);
+        let m = Gbdt::fit(data.x(), data.y(), GbdtConfig { n_rounds: 4, ..GbdtConfig::default() });
+        let (decoded, bytes) = decode_model(&m.save()).unwrap();
+        assert_eq!(bytes, persisted_bytes(&m));
+        let any = decoded.as_any().expect("decoded models expose themselves");
+        assert!(any.downcast_ref::<Gbdt>().is_some(), "the decoder must not wrap the model");
+        let err = decode_model(&parse_json(r#"{"kind":"random_forest"}"#).unwrap()).map(|_| ());
+        assert!(matches!(err, Err(xai_core::XaiError::Parse { .. })), "{err:?}");
     }
 }

@@ -220,9 +220,12 @@ impl DecisionTree {
         DecisionTree { nodes: builder.nodes, n_features: x.cols(), criterion: config.criterion }
     }
 
-    /// Reconstructs a tree from raw parts (used by persistence). Callers
-    /// are responsible for child-index validity; prefer
-    /// `xai_models::Persist::load`, which validates.
+    /// Reconstructs a tree from raw parts (used by persistence). The parts
+    /// must have the shape the CART builder produces — every split has
+    /// both children, each child comes after its parent and has no other
+    /// parent, every split feature is below `n_features` — or prediction
+    /// can loop forever or index out of bounds. Nothing is checked here;
+    /// `xai_models::Persist::load` checks exactly this shape.
     pub fn from_parts(nodes: Vec<TreeNode>, n_features: usize, criterion: SplitCriterion) -> Self {
         assert!(!nodes.is_empty(), "a tree needs at least a root");
         Self { nodes, n_features, criterion }

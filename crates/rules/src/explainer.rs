@@ -165,27 +165,6 @@ impl Explainer for AnchorsMethod {
     }
 }
 
-impl AnchorsMethod {
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        const WHAT: &str = "Anchors config";
-        let pool = index_field(config, "pool", WHAT)?;
-        if pool == 0 {
-            return Err(wire_error(format!("{WHAT}: pool must be >= 1")));
-        }
-        Ok(Self {
-            config: AnchorsConfig {
-                precision_target: num_field(config, "precision_target", WHAT)?,
-                delta: num_field(config, "delta", WHAT)?,
-                max_items: index_field(config, "max_items", WHAT)?,
-                batch_size: index_field(config, "batch_size", WHAT)?,
-                max_samples_per_round: index_field(config, "max_samples_per_round", WHAT)?,
-            },
-            pool,
-        })
-    }
-}
-
 impl ShardableExplainer for AnchorsMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         reject_budget("Anchors", req)?;
@@ -252,6 +231,24 @@ impl ShardableExplainer for AnchorsMethod {
                 Json::Num(self.config.max_samples_per_round as f64),
             ),
         ])
+    }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        const WHAT: &str = "Anchors config";
+        let pool = index_field(config, "pool", WHAT)?;
+        if pool == 0 {
+            return Err(wire_error(format!("{WHAT}: pool must be >= 1")));
+        }
+        Ok(Box::new(Self {
+            config: AnchorsConfig {
+                precision_target: num_field(config, "precision_target", WHAT)?,
+                delta: num_field(config, "delta", WHAT)?,
+                max_items: index_field(config, "max_items", WHAT)?,
+                batch_size: index_field(config, "batch_size", WHAT)?,
+                max_samples_per_round: index_field(config, "max_samples_per_round", WHAT)?,
+            },
+            pool,
+        }))
     }
 }
 

@@ -219,17 +219,6 @@ impl Explainer for PermutationShapleyMethod {
     }
 }
 
-impl PermutationShapleyMethod {
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        let permutations = index_field(config, "permutations", "permutation Shapley config")?;
-        if permutations == 0 {
-            return Err(wire_error("permutation Shapley config: permutations must be >= 1"));
-        }
-        Ok(Self { permutations })
-    }
-}
-
 impl ShardableExplainer for PermutationShapleyMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         if req.plan.budgeted() {
@@ -308,6 +297,14 @@ impl ShardableExplainer for PermutationShapleyMethod {
     fn config_json(&self) -> Json {
         Json::obj(vec![("permutations", Json::Num(self.permutations as f64))])
     }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        let permutations = index_field(config, "permutations", "permutation Shapley config")?;
+        if permutations == 0 {
+            return Err(wire_error("permutation Shapley config: permutations must be >= 1"));
+        }
+        Ok(Box::new(Self { permutations }))
+    }
 }
 
 /// Kernel SHAP weighted regression (§2.1.2) through the unified layer.
@@ -359,17 +356,6 @@ impl Explainer for KernelShapMethod {
 }
 
 impl KernelShapMethod {
-    /// Rebuilds the method from its canonical shard-config JSON. The seed
-    /// is not part of the config — it always comes from the plan.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        let max_coalitions = index_field(config, "max_coalitions", "Kernel SHAP config")?;
-        if max_coalitions == 0 {
-            return Err(wire_error("Kernel SHAP config: max_coalitions must be >= 1"));
-        }
-        let ridge = num_field(config, "ridge", "Kernel SHAP config")?;
-        Ok(Self { config: KernelShapConfig { max_coalitions, ridge, seed: 0 } })
-    }
-
     /// Parses one serialized coalition triple `[[0/1...], weight, value]`.
     fn parse_triple(t: &Json, i: usize) -> XaiResult<(Vec<bool>, f64, f64)> {
         let parts = t
@@ -528,6 +514,16 @@ impl ShardableExplainer for KernelShapMethod {
             ("max_coalitions", Json::Num(self.config.max_coalitions as f64)),
             ("ridge", Json::Num(self.config.ridge)),
         ])
+    }
+
+    /// The seed is not part of the config — it always comes from the plan.
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        let max_coalitions = index_field(config, "max_coalitions", "Kernel SHAP config")?;
+        if max_coalitions == 0 {
+            return Err(wire_error("Kernel SHAP config: max_coalitions must be >= 1"));
+        }
+        let ridge = num_field(config, "ridge", "Kernel SHAP config")?;
+        Ok(Box::new(Self { config: KernelShapConfig { max_coalitions, ridge, seed: 0 } }))
     }
 }
 

@@ -93,25 +93,24 @@ impl Explainer for LimeMethod {
     }
 }
 
-impl LimeMethod {
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        const WHAT: &str = "LIME config";
-        let n_samples = index_field(config, "n_samples", WHAT)?;
-        if n_samples < 8 {
-            return Err(wire_error(format!("{WHAT}: n_samples must be >= 8, got {n_samples}")));
-        }
-        let kernel_width = match config.get("kernel_width") {
-            Some(Json::Null) | None => None,
-            Some(_) => Some(num_field(config, "kernel_width", WHAT)?),
-        };
-        let ridge = num_field(config, "ridge", WHAT)?;
-        let max_features = match config.get("max_features") {
-            Some(Json::Null) | None => None,
-            Some(_) => Some(index_field(config, "max_features", WHAT)?),
-        };
-        Ok(Self { config: LimeConfig { n_samples, kernel_width, ridge, max_features } })
+/// Parses the LIME settings of a shard config (LIME's own, or the `lime`
+/// object inside SP-LIME's).
+fn lime_config_from_json(config: &Json) -> XaiResult<LimeConfig> {
+    const WHAT: &str = "LIME config";
+    let n_samples = index_field(config, "n_samples", WHAT)?;
+    if n_samples < 8 {
+        return Err(wire_error(format!("{WHAT}: n_samples must be >= 8, got {n_samples}")));
     }
+    let kernel_width = match config.get("kernel_width") {
+        Some(Json::Null) | None => None,
+        Some(_) => Some(num_field(config, "kernel_width", WHAT)?),
+    };
+    let ridge = num_field(config, "ridge", WHAT)?;
+    let max_features = match config.get("max_features") {
+        Some(Json::Null) | None => None,
+        Some(_) => Some(index_field(config, "max_features", WHAT)?),
+    };
+    Ok(LimeConfig { n_samples, kernel_width, ridge, max_features })
 }
 
 impl ShardableExplainer for LimeMethod {
@@ -236,6 +235,10 @@ impl ShardableExplainer for LimeMethod {
             ),
         ])
     }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        Ok(Box::new(Self { config: lime_config_from_json(config)? }))
+    }
 }
 
 /// SP-LIME submodular pick (§2.1.1): a global view assembled from LIME
@@ -309,21 +312,6 @@ impl SpLimeMethod {
             return Err(XaiError::Unsupported { context: "SP-LIME needs picks >= 1".into() });
         }
         lime::check_samples(self.config.n_samples)
-    }
-
-    /// Rebuilds the method from its canonical shard-config JSON.
-    pub fn from_config_json(config: &Json) -> XaiResult<Self> {
-        const WHAT: &str = "SP-LIME config";
-        let n_candidates = index_field(config, "n_candidates", WHAT)?;
-        let picks = index_field(config, "picks", WHAT)?;
-        if picks == 0 {
-            return Err(wire_error(format!("{WHAT}: picks must be >= 1")));
-        }
-        let lime = config
-            .get("lime")
-            .ok_or_else(|| wire_error(format!("{WHAT}: missing required field 'lime'")))?;
-        let config = LimeMethod::from_config_json(lime)?.config;
-        Ok(Self { n_candidates, picks, config })
     }
 }
 
@@ -407,6 +395,20 @@ impl ShardableExplainer for SpLimeMethod {
             ("picks", Json::Num(self.picks as f64)),
             ("lime", ShardableExplainer::config_json(&LimeMethod { config: self.config })),
         ])
+    }
+
+    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+        const WHAT: &str = "SP-LIME config";
+        let n_candidates = index_field(config, "n_candidates", WHAT)?;
+        let picks = index_field(config, "picks", WHAT)?;
+        if picks == 0 {
+            return Err(wire_error(format!("{WHAT}: picks must be >= 1")));
+        }
+        let lime = config
+            .get("lime")
+            .ok_or_else(|| wire_error(format!("{WHAT}: missing required field 'lime'")))?;
+        let config = lime_config_from_json(lime)?;
+        Ok(Box::new(Self { n_candidates, picks, config }))
     }
 }
 

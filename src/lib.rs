@@ -30,7 +30,7 @@
 //! | [`provenance`] | semirings, relational engine, tuple Shapley, Rain, PrIU |
 //! | [`unified`] | the runnable registry: every method behind one trait |
 //! | [`serve`] | the explanation-serving engine: requests as JSON, worker pool, result cache |
-//! | [`shard`] | deterministic shard plans, the method/model factories and the shard worker (DESIGN.md §11) |
+//! | [`shard`] | deterministic shard plans and the shard worker (DESIGN.md §11) |
 //! | [`transport`] | the multi-node TCP shard transport and daemon (DESIGN.md §13) |
 //! | [`core::backend`] | the unified `ExecutionBackend` substrate: local, process-pool, cluster (DESIGN.md §14) |
 //!
@@ -87,7 +87,7 @@ pub mod prelude {
         register_persist, workspace_service, ExplanationService, ServeRequest, ServeResponse,
         ServeStats, ServiceConfig,
     };
-    pub use crate::shard::{shardable, PoolConfig, ShardDescriptor, ShardResult, ShardableExplainer};
+    pub use crate::shard::{PoolConfig, ShardDescriptor, ShardResult, ShardableExplainer};
     pub use crate::transport::{
         ClusterConfig, ClusterRunner, ClusterStats, DaemonHandle, FallbackPolicy, RetryPolicy,
     };

@@ -3,14 +3,13 @@
 //! The core shard layer ([`xai_core::shard`], re-exported here) cuts an
 //! estimator's draw grid into self-contained [`ShardDescriptor`]s and
 //! merges [`ShardResult`]s bit-identically to the unsharded run. This
-//! module adds the pieces only the facade can provide — it knows every
-//! method and every persistable model:
+//! module adds only the worker side, which needs the full workspace:
 //!
-//! - [`shardable`] — the method factory: taxonomy card name + canonical
-//!   config JSON → a boxed [`ShardableExplainer`].
-//! - [`PersistedModel`] / [`resolve_model`] — rebuild any persisted
-//!   workspace model from its descriptor JSON, usable as a
-//!   [`ModelOracle`].
+//! - [`execute_wire_text`] — one descriptor end to end. The model comes
+//!   from the one model decoder ([`xai_models::decode_model`]) and the
+//!   method from the one method table ([`crate::unified::all_explainers`],
+//!   by card name, rebuilt through
+//!   [`ShardableExplainer::from_config_json`]).
 //! - [`run_worker`] — the worker side, wrapped by the
 //!   `xai-shard-worker` binary: parse, execute, answer. A worker exits 0
 //!   even on typed failures (the error travels in the envelope); only
@@ -44,137 +43,37 @@ use std::io::Read;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use xai_core::{Json, ModelOracle, XaiError, XaiResult};
-use xai_models::Persist;
+use xai_core::{XaiError, XaiResult};
 use xai_rand::parallel::panic_message;
 
 pub use xai_core::backend::PoolConfig;
 pub use xai_core::shard::*;
 
-use xai_counterfactual::DiceMethod;
-use xai_datavalue::{BanzhafMethod, LooMethod, TmcMethod};
-use xai_rules::AnchorsMethod;
-use xai_shapley::{KernelShapMethod, PermutationShapleyMethod};
-use xai_surrogate::{LimeMethod, SpLimeMethod};
-
-// ---------------------------------------------------------------------------
-// Method factory
-// ---------------------------------------------------------------------------
-
-/// Rebuilds a shardable method from its taxonomy card name and canonical
-/// config JSON — the worker-side counterpart of
-/// [`ShardableExplainer::config_json`]. Unknown methods and malformed
-/// configs are typed [`XaiError::Parse`] errors.
-pub fn shardable(method: &str, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
-    Ok(match method {
-        "Permutation sampling Shapley" => {
-            Box::new(PermutationShapleyMethod::from_config_json(config)?)
-        }
-        "Kernel SHAP" => Box::new(KernelShapMethod::from_config_json(config)?),
-        "LIME" => Box::new(LimeMethod::from_config_json(config)?),
-        "SP-LIME" => Box::new(SpLimeMethod::from_config_json(config)?),
-        "Anchors" => Box::new(AnchorsMethod::from_config_json(config)?),
-        "DiCE" => Box::new(DiceMethod::from_config_json(config)?),
-        "Leave-one-out" => Box::new(LooMethod::from_config_json(config)?),
-        "Data Shapley (TMC)" => Box::new(TmcMethod::from_config_json(config)?),
-        "Data Banzhaf" => Box::new(BanzhafMethod::from_config_json(config)?),
-        other => {
-            return Err(wire_error(format!("shard method: '{other}' is not shardable")));
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Model resolution
-// ---------------------------------------------------------------------------
-
-/// Any workspace model that can travel in a descriptor: the [`Persist`]
-/// implementors, rebuilt from their persisted JSON and usable as a
-/// [`ModelOracle`] by delegation.
-pub enum PersistedModel {
-    /// Ordinary least squares / ridge regression.
-    Linear(xai_models::LinearRegression),
-    /// Binary logistic regression.
-    Logistic(xai_models::LogisticRegression),
-    /// A single CART decision tree.
-    Tree(xai_models::DecisionTree),
-    /// Gradient-boosted decision trees.
-    Gbdt(xai_models::Gbdt),
-}
-
-impl PersistedModel {
-    fn oracle(&self) -> &dyn ModelOracle {
-        match self {
-            PersistedModel::Linear(m) => m,
-            PersistedModel::Logistic(m) => m,
-            PersistedModel::Tree(m) => m,
-            PersistedModel::Gbdt(m) => m,
-        }
-    }
-
-    /// The persisted JSON form (round-trips through [`resolve_model`]).
-    pub fn save(&self) -> Json {
-        match self {
-            PersistedModel::Linear(m) => m.save(),
-            PersistedModel::Logistic(m) => m.save(),
-            PersistedModel::Tree(m) => m.save(),
-            PersistedModel::Gbdt(m) => m.save(),
-        }
-    }
-}
-
-impl ModelOracle for PersistedModel {
-    fn n_features(&self) -> usize {
-        self.oracle().n_features()
-    }
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.oracle().predict(x)
-    }
-    fn predict_batch(&self, rows: &xai_linalg::Matrix) -> Vec<f64> {
-        self.oracle().predict_batch(rows)
-    }
-    fn gradient(&self, x: &[f64]) -> Option<Vec<f64>> {
-        self.oracle().gradient(x)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        self.oracle().as_any()
-    }
-}
-
-/// Rebuilds a model from descriptor JSON, dispatching on its persisted
-/// `"kind"` tag. Unknown kinds and malformed payloads are typed
-/// [`XaiError::Parse`] errors.
-pub fn resolve_model(json: &Json) -> XaiResult<PersistedModel> {
-    const WHAT: &str = "shard model";
-    Ok(match str_field(json, "kind", WHAT)?.as_str() {
-        "linear_regression" => PersistedModel::Linear(Persist::load(json)?),
-        "logistic_regression" => PersistedModel::Logistic(Persist::load(json)?),
-        "decision_tree" => PersistedModel::Tree(Persist::load(json)?),
-        "gbdt" => PersistedModel::Gbdt(Persist::load(json)?),
-        other => return Err(wire_error(format!("{WHAT}: unknown model kind '{other}'"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The worker side
-// ---------------------------------------------------------------------------
-
 /// Executes one wire-form descriptor end to end: parse, rebuild the
-/// model (verifying the fingerprint), rebuild the method, run the chunk
-/// range. Shared by the stdin worker ([`run_worker`]) and the TCP daemon
-/// (`xai::transport`).
+/// model (verifying the fingerprint against its canonical bytes),
+/// rebuild the method, run the chunk range. Shared by the stdin worker
+/// ([`run_worker`]) and the TCP daemon (`xai::transport`). An unknown
+/// or unshardable method, an unknown model kind and a fingerprint
+/// mismatch are typed [`XaiError::Parse`] errors.
 pub fn execute_wire_text(input: &str) -> XaiResult<ShardResult> {
     let desc = ShardDescriptor::from_json_str(input)?;
-    let model = resolve_model(&desc.model)?;
-    let fingerprint = fingerprint_hex(model.save().to_json().as_bytes());
+    let (model, bytes) = xai_models::decode_model(&desc.model)?;
+    let fingerprint = fingerprint_hex(&bytes);
     if fingerprint != desc.fingerprint {
         return Err(wire_error(format!(
             "ShardDescriptor: model fingerprint mismatch (descriptor {}, model {fingerprint})",
             desc.fingerprint
         )));
     }
-    let explainer = shardable(&desc.method, &desc.config)?;
-    execute_descriptor(&desc, explainer.as_ref(), &model)
+    let catalogued = crate::unified::all_explainers()
+        .into_iter()
+        .find(|e| e.card().name == desc.method)
+        .ok_or_else(|| wire_error(format!("shard method: unknown method '{}'", desc.method)))?;
+    let explainer = catalogued
+        .as_shardable()
+        .ok_or_else(|| wire_error(format!("shard method: '{}' is not shardable", desc.method)))?
+        .from_config_json(&desc.config)?;
+    execute_descriptor(&desc, explainer.as_ref(), model.as_ref())
 }
 
 /// [`execute_wire_text`] with panics caught: a panic becomes a typed

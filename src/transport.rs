@@ -5,11 +5,12 @@
 //! everything that needs the full method registry: [`run_daemon`] turns
 //! the `xai-shard-worker` binary into a TCP daemon (`--listen addr:port`)
 //! that serves a persistent session per connection — one
-//! [`ShardDescriptor`] frame per request, looped until the client closes
-//! the stream — executing each through
+//! [`ShardDescriptor`](crate::shard::ShardDescriptor) frame per request,
+//! looped until the client closes the stream — executing each through
 //! [`crate::shard::execute_wire_text`] (rebuilding model and method from
 //! their persisted forms; a panic is caught and typed, as in the stdin
-//! worker) and answering with a [`ShardResult`] frame or a typed shard
+//! worker) and answering with a
+//! [`ShardResult`](crate::shard::ShardResult) frame or a typed shard
 //! error envelope. The coordinator side is
 //! [`xai_core::backend::ClusterBackend`] over a [`ClusterRunner`].
 //!

@@ -2,7 +2,9 @@
 //! shardable method × backends {Local, ProcessPool, Cluster} × shard
 //! counts {1, 2, 4}, byte-compared against the direct
 //! `Explainer::explain` run at the same seed — one contract, three
-//! substrates, zero byte drift. On top of the matrix: serve-path
+//! substrates, zero byte drift. Kernel SHAP also runs, scalar and
+//! batched, on every other decodable model family (linear regression,
+//! decision tree, GBDT). On top of the matrix: serve-path
 //! requests routed through each backend match serve-local bytes, a
 //! dead-cluster fault schedule degrades in-process with the `degraded`
 //! marker set and identical bytes, cluster runs reuse endpoint sessions
@@ -59,9 +61,9 @@ fn fixture(rows: usize, seed: u64) -> (Dataset, LogisticRegression) {
 /// The core assertion: all three backends produce the same bytes as the
 /// direct `Explainer::explain` run, at every shard count, without
 /// degrading.
-fn assert_backend_equivalence(
+fn assert_backend_equivalence<M: ModelOracle + Persist>(
     method: &dyn ShardableExplainer,
-    model: &LogisticRegression,
+    model: &M,
     req: &ExplainRequest<'_>,
     label: &str,
 ) {
@@ -191,6 +193,48 @@ fn data_banzhaf_runs_on_every_backend() {
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
     let method = BanzhafMethod { config: BanzhafConfig { samples_per_point: 6, seed: 0 } };
     assert_backend_equivalence(&method, &model, &req, "data Banzhaf");
+}
+
+/// Kernel SHAP on one model of another decodable family, with the scalar
+/// and the batched (masked) game: pool workers and daemons rebuild the
+/// model through the one model decoder.
+fn assert_kernel_shap_equivalence<M>(data: &Dataset, model: &M, label: &str)
+where
+    M: ModelOracle + Persist,
+{
+    let row = data.row(1).to_vec();
+    let method = KernelShapMethod {
+        config: KernelShapConfig { max_coalitions: 48, ..KernelShapConfig::default() },
+    };
+    for batched in [false, true] {
+        let req = ExplainRequest::new(data)
+            .instance(&row)
+            .plan(RunConfig::seeded(5).with_workers(2).with_batched(batched));
+        assert_backend_equivalence(&method, model, &req, &format!("{label} batched={batched}"));
+    }
+}
+
+#[test]
+fn kernel_shap_on_linear_regression_runs_on_every_backend() {
+    let data = xai::data::synth::friedman1(40, 26, 0.2);
+    let model = LinearRegression::fit(data.x(), data.y(), xai::models::LinearConfig::default())
+        .expect("OLS fit");
+    assert_kernel_shap_equivalence(&data, &model, "Kernel SHAP on linear regression");
+}
+
+#[test]
+fn kernel_shap_on_a_decision_tree_runs_on_every_backend() {
+    let data = xai::data::synth::german_credit(60, 27);
+    let model =
+        DecisionTree::fit(data.x(), data.y(), TreeConfig { max_depth: 4, ..TreeConfig::default() });
+    assert_kernel_shap_equivalence(&data, &model, "Kernel SHAP on a decision tree");
+}
+
+#[test]
+fn kernel_shap_on_gbdt_runs_on_every_backend() {
+    let data = xai::data::synth::german_credit(60, 28);
+    let model = Gbdt::fit(data.x(), data.y(), GbdtConfig { n_rounds: 6, ..GbdtConfig::default() });
+    assert_kernel_shap_equivalence(&data, &model, "Kernel SHAP on GBDT");
 }
 
 // ---------------------------------------------------------------------------

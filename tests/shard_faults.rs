@@ -3,12 +3,15 @@
 //! as the matching typed `XaiError` — never as a hang or a crash of the
 //! coordinating process. Faults are injected through the worker's
 //! `XAI_SHARD_FAULT` environment hook, so the real binary and the real
-//! wire path are exercised end to end.
+//! wire path are exercised end to end. The worker's own decode paths
+//! (method by card name, model by kind, fingerprint check) are driven
+//! directly through `execute_wire_text`.
 
 use std::time::{Duration, Instant};
 
 use xai::models::Persist;
 use xai::prelude::*;
+use xai::shard::build_descriptors;
 
 fn fixture() -> (Dataset, LogisticRegression) {
     let data = xai::data::synth::german_credit(12, 41);
@@ -105,4 +108,40 @@ fn a_healthy_pool_still_matches_the_unsharded_run() {
     let pool = PoolConfig::new(env!("CARGO_BIN_EXE_xai-shard-worker"));
     let pooled = run(&pool).unwrap().to_json_string();
     assert_eq!(pooled, reference);
+}
+
+/// A valid descriptor edited to each case the worker must refuse before
+/// running anything: an unknown method, a catalogued method that cannot
+/// shard, an unknown model kind and a model that does not match the
+/// fingerprint. Each is a typed `Parse` error.
+#[test]
+fn the_worker_refuses_undecodable_descriptors_with_typed_parse_errors() {
+    let (data, model) = fixture();
+    let row = data.row(0).to_vec();
+    let req = ExplainRequest::new(&data).instance(&row).plan(RunConfig::seeded(3).with_workers(2));
+    let method = KernelShapMethod::default();
+    let valid = build_descriptors(&method, &req, model.save(), 1).unwrap().remove(0);
+    xai::shard::execute_wire_text(&valid.to_json_string()).expect("the unedited descriptor runs");
+
+    let config = LogisticConfig { l2: 3.0, ..LogisticConfig::default() };
+    let other = LogisticRegression::fit(data.x(), data.y(), config);
+    // (expected context, edited descriptor)
+    let edits: [(&str, ShardDescriptor); 4] = [
+        ("unknown method", ShardDescriptor { method: "No such method".into(), ..valid.clone() }),
+        ("not shardable", ShardDescriptor { method: "TreeSHAP".into(), ..valid.clone() }),
+        (
+            "unknown model kind",
+            ShardDescriptor {
+                model: Json::obj(vec![("kind", Json::str("random_forest"))]),
+                ..valid.clone()
+            },
+        ),
+        ("fingerprint mismatch", ShardDescriptor { model: other.save(), ..valid.clone() }),
+    ];
+    for (expected, desc) in edits {
+        match xai::shard::execute_wire_text(&desc.to_json_string()) {
+            Err(XaiError::Parse { context }) => assert!(context.contains(expected), "{context}"),
+            other => panic!("{expected}: expected a typed Parse error, got {other:?}"),
+        }
+    }
 }
