@@ -56,7 +56,7 @@ pub enum DegradationPolicy {
 /// |---|---|
 /// | `seed` | the stream every stochastic draw comes from |
 /// | `workers` | `1`: the sequential layout; `> 1`: the chunk grid on that many threads |
-/// | `batched` | the batch model surface / batched coalition game instead of the scalar one |
+/// | `batched` | nothing: accepted for wire compatibility |
 /// | `budget` | best-effort estimation from a metered prefix (sequential layout) |
 /// | `degradation` | strict rejection of ridge-escalated solves |
 /// | `backend` | where the chunk grid runs: in process, process pool or cluster |
@@ -68,8 +68,10 @@ pub struct RunConfig {
     /// `> 1` the chunk grid (worker-count-invariant) on that many
     /// executor threads.
     pub workers: usize,
-    /// Route model evaluation through the batched kernels
-    /// (bit-identical to scalar evaluation at the same seed).
+    /// Accepted for wire compatibility; selects nothing. Every explainer
+    /// evaluates its model through one batched surface whatever this
+    /// says, and the serve and shard codecs still carry the field, so it
+    /// stays part of canonical request bytes and cache keys.
     pub batched: bool,
     /// Evaluation/wall-clock budget for Monte-Carlo methods.
     pub budget: SampleBudget,
@@ -99,7 +101,7 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Sequential, unbatched, unlimited plan at `seed`.
+    /// Sequential, unlimited plan at `seed`.
     pub fn seeded(seed: u64) -> Self {
         Self { seed, ..Self::default() }
     }
@@ -117,7 +119,7 @@ impl RunConfig {
         self
     }
 
-    /// Toggles batched model evaluation.
+    /// Sets the inert `batched` field (see [`RunConfig::batched`]).
     pub fn with_batched(mut self, batched: bool) -> Self {
         self.batched = batched;
         self

@@ -724,25 +724,38 @@ impl ServeResponse {
         Explanation::from_json_str(&self.payload)
     }
 
-    /// The full response envelope as JSON (fingerprint in hex so the
-    /// 64-bit value survives the f64 number representation).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+    /// The envelope's header fields, in wire order, ahead of the payload.
+    fn header(&self) -> Vec<(&'static str, Json)> {
+        vec![
             ("method", Json::str(&*self.method)),
             ("model", Json::str(&*self.model)),
             ("fingerprint", Json::str(format!("{:016x}", self.fingerprint))),
             ("cached", Json::Bool(self.cached)),
             ("degraded", Json::Bool(self.degraded)),
-            (
-                "explanation",
-                parse_json(&self.payload).expect("payload is service-serialized JSON"),
-            ),
-        ])
+        ]
     }
 
-    /// Compact JSON text of [`ServeResponse::to_json`].
+    /// The full response envelope as JSON (fingerprint in hex so the
+    /// 64-bit value survives the f64 number representation).
+    pub fn to_json(&self) -> Json {
+        let mut fields = self.header();
+        fields.push((
+            "explanation",
+            parse_json(&self.payload).expect("payload is service-serialized JSON"),
+        ));
+        Json::obj(fields)
+    }
+
+    /// Compact JSON text of [`ServeResponse::to_json`]. The payload is
+    /// this encoder's canonical output, so it is spliced in verbatim
+    /// instead of being parsed and re-encoded: the bytes are the same.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_json()
+        let mut out = Json::obj(self.header()).to_json();
+        out.pop(); // the header object's closing brace
+        out.push_str(",\"explanation\":");
+        out.push_str(&self.payload);
+        out.push('}');
+        out
     }
 }
 
@@ -1376,9 +1389,10 @@ mod tests {
         assert!(matches!(err, XaiError::NonFiniteInput { .. }), "{err:?}");
     }
 
-    #[test]
-    fn explanations_round_trip_bit_exactly() {
-        let samples = vec![
+    /// One explanation of every kind, with values that stress the number
+    /// encoder.
+    fn sample_explanations() -> Vec<Explanation> {
+        vec![
             Explanation::Attribution(FeatureAttribution {
                 feature_names: vec!["a".into(), "b".into()],
                 values: vec![0.1 + 0.2, -1.5e-13],
@@ -1412,11 +1426,32 @@ mod tests {
                 values: vec![0.1, 0.2, 0.3],
                 ice: Some(vec![vec![0.0, 0.1, 0.2], vec![0.2, 0.3, 0.4]]),
             }),
-        ];
-        for explanation in samples {
+        ]
+    }
+
+    #[test]
+    fn explanations_round_trip_bit_exactly() {
+        for explanation in sample_explanations() {
             let text = explanation.to_json_string();
             let back = Explanation::from_json_str(&text).unwrap();
             assert_eq!(back.to_json_string(), text);
+        }
+    }
+
+    #[test]
+    fn response_text_splices_the_payload_bytes_of_the_tree_encoding() {
+        for explanation in sample_explanations() {
+            for (cached, degraded) in [(false, false), (true, false), (false, true), (true, true)] {
+                let response = ServeResponse {
+                    method: "Kernel \"SHAP\"\n".into(),
+                    model: "toy".into(),
+                    fingerprint: 0xdead_beef_0000_0001,
+                    cached,
+                    degraded,
+                    payload: explanation.to_json_string(),
+                };
+                assert_eq!(response.to_json_string(), response.to_json().to_json());
+            }
         }
     }
 

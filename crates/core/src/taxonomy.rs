@@ -16,7 +16,7 @@
 //! ("which model-agnostic local methods exist?") programmatically — and,
 //! since the unified explainer layer (DESIGN.md §9), it can also *run* the
 //! methods it catalogues: [`Registry::register_explainer`] attaches a live
-//! [`Explainer`](crate::explainer::Explainer) to a card, and
+//! [`Explainer`] to a card, and
 //! [`Registry::resolve`] hands runnable trait objects back by taxonomy
 //! position.
 
@@ -103,7 +103,7 @@ impl fmt::Display for MethodCard {
 }
 
 /// A queryable catalogue of method cards, optionally paired with live,
-/// runnable [`Explainer`](crate::explainer::Explainer) implementations.
+/// runnable [`Explainer`] implementations.
 ///
 /// Metadata-only entries (surveyed methods without a workspace
 /// implementation) and runnable entries share one catalogue; `runners`

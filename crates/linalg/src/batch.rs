@@ -38,7 +38,7 @@ const ROW_BLOCK: usize = 4;
 
 /// Blocked matrix–vector product: `out[i] = dot(a.row(i), v)`.
 ///
-/// Processes [`ROW_BLOCK`] rows per pass with one independent accumulator
+/// Processes `ROW_BLOCK` rows per pass with one independent accumulator
 /// each (instruction-level parallelism; `v` is read once per block from
 /// cache). Each accumulator runs over `k` in ascending order starting from
 /// `0.0`, so `out[i]` is bit-identical to `dot(a.row(i), v)`.
@@ -115,7 +115,7 @@ const COL_BLOCK: usize = 4;
 /// Blocked `A·Bᵀ`: `out[(i, j)] = dot(a.row(i), b.row(j))`.
 ///
 /// `a` is `m×k`, `b` is `n×k`; the result is `m×n`. The kernel blocks over
-/// [`COL_BLOCK`] rows of `b` (output columns) with one accumulator each, so
+/// `COL_BLOCK` rows of `b` (output columns) with one accumulator each, so
 /// a panel of `b` is streamed once per `a`-row; the `k` loop always runs in
 /// ascending order from `0.0`, keeping every entry bit-identical to the
 /// naive dot product. This is the MLP hidden-layer kernel (`X·W₁ᵀ`).
@@ -218,7 +218,7 @@ fn masked_accumulate(background: &Matrix, instance: &[f64], mask: u64, v: &[f64]
 /// into consecutive `background.rows()`-length blocks of `out`
 /// (coalition-major). Bit-identical to calling [`masked_matvec`] once per
 /// mask, but the weighted products are hoisted out of the per-mask loop
-/// (see [`masked_accumulate_many`]), so the hot loop is pure additions —
+/// (see `masked_accumulate_many`), so the hot loop is pure additions —
 /// this is the throughput kernel behind Kernel SHAP's masked rounds.
 ///
 /// `out` must have exactly `masks.len() × background.rows()` elements; it
@@ -321,7 +321,7 @@ fn masked_accumulate_many(
 /// One masked round at a compile-time background width `B`: the running
 /// sums live in a `[f64; B]` register file across the feature loop and
 /// are stored back once per mask. Operation order per output row is
-/// identical to the dynamic-width loop in [`masked_accumulate_many`]
+/// identical to the dynamic-width loop in `masked_accumulate_many`
 /// (`init`, then ascending `k`), so the results are bit-identical.
 fn masked_round_fixed<const B: usize>(
     tbl: &[f64],

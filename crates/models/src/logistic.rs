@@ -256,7 +256,7 @@ impl LogisticRegression {
     }
 
     /// Margins for every row in one blocked pass, with no per-row
-    /// [`augment`] allocation. The scalar margin accumulates the intercept
+    /// `augment` allocation. The scalar margin accumulates the intercept
     /// *first* (`w[0]·1` is the leading term of the augmented dot), so this
     /// uses the bias-first [`xai_linalg::affine_fold`] kernel and is
     /// bit-identical to [`LogisticRegression::margin`] per row.

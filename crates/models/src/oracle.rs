@@ -14,8 +14,8 @@
 //! - `LinearRegression` exposes `Regressor::predict_one` / `predict_batch`
 //!   (the `regress_fn` convention);
 //! - `predict_batch` overrides route through each model's vectorized
-//!   kernels, so `RunConfig { batched: true, .. }` evaluates whole rounds
-//!   through them;
+//!   kernels, so the unified explainers evaluate whole rounds through
+//!   them;
 //! - `gradient` is provided exactly where the workspace already had a
 //!   gradient surface (`xai_surrogate::Differentiable`,
 //!   `xai_counterfactual::GradientModel`): logistic regression and MLPs,

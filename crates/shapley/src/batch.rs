@@ -15,8 +15,8 @@
 //!   `xai_models::BatchPredictFn`).
 //!
 //! Materialization is **not** the only strategy, and since the zero-copy
-//! layer (DESIGN.md §12) it is no longer the default one. Which path a
-//! `batched: true` plan takes is decided in `explainer.rs`:
+//! layer (DESIGN.md §12) it is no longer the default one. The unified
+//! explainers in `explainer.rs` pick one game per input, by arity alone:
 //!
 //! - **≤ 64 features and a [`xai_core::ModelOracle`]** — the unified
 //!   explainers build a [`crate::masked::MaskedPredictionGame`], which
@@ -31,14 +31,14 @@
 //!   [`BatchPredictionGame`] here, which trades one big allocation for
 //!   batched inference and works at any arity.
 //!
-//! A `batched: false` plan evaluates the scalar
-//! [`crate::PredictionGame`] through the same estimator bodies: every
-//! [`CooperativeGame`] is a `BatchGame` by the default one-by-one loop,
-//! so `batched` picks a game object, never an estimator.
+//! `RunConfig::batched` selects nothing. The scalar
+//! [`crate::PredictionGame`] remains the reference that callers of the
+//! free estimator functions may still pass: every [`CooperativeGame`] is
+//! a `BatchGame` by the default one-by-one loop.
 //!
-//! Everything on either path preserves the workspace determinism contract
-//! *bitwise*: a batched estimator run equals its scalar counterpart
-//! bit-for-bit at the same seed and worker count
+//! Every game preserves the workspace determinism contract *bitwise*: an
+//! estimator run over a batched or masked game equals its run over the
+//! scalar game bit-for-bit at the same seed and worker count
 //! (`tests/batch_equivalence.rs`, `tests/masked_equivalence.rs`), because
 //! (a) randomness is always drawn before evaluation and evaluation never
 //! consumes randomness, (b) per-coalition averaging keeps the background

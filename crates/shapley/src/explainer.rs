@@ -6,14 +6,15 @@
 //! runs the estimator's one-stream sequential layout; `workers > 1` runs
 //! its chunk grid on the executor through
 //! [`xai_core::backend::dispatch_local`] — the same `explain_chunks` →
-//! `merge_chunks` code the process pool and the cluster run. `batched`
-//! only picks the coalition game both layouts evaluate (masked or
-//! materialized vs scalar). A `SampleBudget` is honoured by permutation
-//! sampling and by Kernel SHAP on the sequential scalar path (budgeted
-//! Kernel SHAP at eval cap `k` equals an unbudgeted run with
-//! `max_coalitions = k` bit for bit); deterministic enumerators (exact
-//! Shapley, TreeSHAP) and budget + parallel/batched combinations report
-//! [`XaiError::Unsupported`] rather than silently ignoring the cap.
+//! `merge_chunks` code the process pool and the cluster run. Both layouts
+//! evaluate one coalition game, picked from the input's arity by
+//! `with_game`; `RunConfig::batched` selects nothing. A `SampleBudget`
+//! is honoured by permutation sampling and by Kernel SHAP on the
+//! sequential layout (budgeted Kernel SHAP at eval cap `k` equals an
+//! unbudgeted run with `max_coalitions = k` bit for bit); deterministic
+//! enumerators (exact Shapley, TreeSHAP) and budget + `workers > 1`
+//! combinations report [`XaiError::Unsupported`] rather than silently
+//! ignoring the cap.
 
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget, shard_nums,
@@ -71,23 +72,24 @@ fn endpoints(
     Ok((base, pred))
 }
 
-/// Runs `f` over the coalition game a `batched: true` plan selects: the
-/// zero-copy [`MaskedPredictionGame`] whenever the arity fits the `u64`
-/// coalition bitmask (wrapped in a [`MemoGame`] when the request carries a
-/// shared memo handle), and the materializing [`BatchPredictionGame`]
-/// above [`MAX_MASKED_PLAYERS`] features, where no bitmask exists. All
-/// three games are bit-identical at every seed and worker count, so this
-/// choice is pure mechanics — see `crates/shapley/src/batch.rs` docs.
-fn with_batched_game<R>(
+/// Runs `f` over the one coalition game every estimator here evaluates:
+/// the zero-copy [`MaskedPredictionGame`] whenever the arity fits the
+/// `u64` coalition bitmask (wrapped in a [`MemoGame`] when the request
+/// carries a shared memo handle), and the materializing
+/// [`BatchPredictionGame`] above [`MAX_MASKED_PLAYERS`] features, where no
+/// bitmask exists. Both games equal the scalar [`PredictionGame`] bit for
+/// bit at every seed and worker count — see `crates/shapley/src/batch.rs`
+/// docs.
+fn with_game<R>(
     model: &dyn ModelOracle,
     instance: &[f64],
     background: &Matrix,
-    memo: Option<xai_core::MemoHandle<'_>>,
+    req: &ExplainRequest<'_>,
     f: impl FnOnce(&(dyn BatchGame + Sync)) -> R,
 ) -> R {
     if instance.len() <= MAX_MASKED_PLAYERS {
         let game = MaskedPredictionGame::new(model, instance, background);
-        match memo {
+        match req.memo {
             Some(h) => {
                 let key = xai_core::GameKey::derive(h.model_fingerprint, background, instance);
                 f(&MemoGame::new(&game, h.memo, key))
@@ -101,33 +103,12 @@ fn with_batched_game<R>(
     }
 }
 
-/// Runs `f` over the coalition game the plan selects: the batched game of
-/// [`with_batched_game`] when `batched`, the scalar [`PredictionGame`]
-/// (evaluated one coalition at a time) otherwise. Both draw layouts of
-/// every estimator here take their game from this one choice.
-fn with_game<R>(
-    model: &dyn ModelOracle,
-    instance: &[f64],
-    background: &Matrix,
-    req: &ExplainRequest<'_>,
-    f: impl FnOnce(&(dyn BatchGame + Sync)) -> R,
-) -> R {
-    if req.plan.batched {
-        with_batched_game(model, instance, background, req.memo, f)
-    } else {
-        let predict = |x: &[f64]| model.predict(x);
-        f(&PredictionGame::new(&predict, instance, background))
-    }
-}
-
 /// Rejects a budget on a plan whose layout does not meter one: budgets
-/// run on the sequential scalar path only.
+/// run on the sequential layout only.
 fn reject_unmetered_budget(method: &str, req: &ExplainRequest<'_>) -> XaiResult<()> {
-    if req.plan.budgeted() && (req.plan.parallel() || req.plan.batched) {
+    if req.plan.budgeted() && req.plan.parallel() {
         return Err(XaiError::Unsupported {
-            context: format!(
-                "budgeted {method} is sequential and scalar; set workers = 1 and batched = false"
-            ),
+            context: format!("budgeted {method} is sequential; set workers = 1"),
         });
     }
     Ok(())
@@ -174,7 +155,7 @@ impl Explainer for ExactShapleyMethod {
 }
 
 /// Permutation-sampling Monte-Carlo Shapley (§2.1.2) through the unified
-/// layer; honours `RunConfig::budget` on the sequential scalar layout.
+/// layer; honours `RunConfig::budget` on the sequential layout.
 #[derive(Clone, Copy, Debug)]
 pub struct PermutationShapleyMethod {
     /// Permutation walks to draw.
@@ -223,7 +204,7 @@ impl ShardableExplainer for PermutationShapleyMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         if req.plan.budgeted() {
             return Err(XaiError::Unsupported {
-                context: "budgeted permutation Shapley is sequential and scalar; \
+                context: "budgeted permutation Shapley is sequential; \
                           the chunk grid covers unbudgeted plans only"
                     .into(),
             });
@@ -465,9 +446,9 @@ impl ShardableExplainer for KernelShapMethod {
         let background = req.background_or_data();
         validate::background("kernel SHAP", instance, background)?;
         let n = instance.len();
-        let f = |x: &[f64]| model.predict(x);
-        let game = PredictionGame::new(&f, instance, background);
-        let (ends, short) = kernel::endpoints(&game)?;
+        let (ends, short) = with_game(model, instance, background, req, |game| {
+            kernel::endpoints(game)
+        })?;
         let ks = if let Some(s) = short {
             s
         } else {
@@ -647,7 +628,7 @@ mod tests {
             PermutationShapleyMethod::default().explain(&model, &req),
             Err(XaiError::Unsupported { .. })
         ));
-        // Kernel SHAP's budget path is likewise sequential-scalar only.
+        // Kernel SHAP's budget path is likewise sequential only.
         assert!(matches!(
             KernelShapMethod::default().explain(&model, &req),
             Err(XaiError::Unsupported { .. })

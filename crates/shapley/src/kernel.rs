@@ -250,14 +250,14 @@ pub(crate) fn check_config(config: &KernelShapConfig) -> XaiResult<()> {
 /// - in exact mode a cap below `2^n − 2` truncates the enumeration and
 ///   clears the `exact` flag on the result;
 /// - a wall-clock deadline is checked between evaluation rounds of
-///   [`COALITIONS_PER_CHUNK`] coalitions;
+///   `COALITIONS_PER_CHUNK` coalitions;
 /// - a budget that expires before the *first* coalition evaluation is
 ///   [`XaiError::BudgetExceeded`] — there is nothing to estimate from.
 ///
 /// This is the one-stream sequential layout: full enumeration in exact
 /// mode, draws from `seed_from_u64(config.seed)` otherwise, evaluated
 /// through [`BatchGame::values`] one round at a time — the whole metered
-/// prefix at once, or [`COALITIONS_PER_CHUNK`] coalitions per round when
+/// prefix at once, or `COALITIONS_PER_CHUNK` coalitions per round when
 /// a deadline must be checked between rounds.
 pub fn try_kernel_shap_budgeted(
     game: &dyn BatchGame,

@@ -22,11 +22,12 @@
 //! one-stream sequential layout and the seeded chunk grid that
 //! `workers > 1` and the shard layer run — and evaluates through a
 //! [`batch::BatchGame`], which materializes whole sampling rounds into
-//! single model calls. `RunConfig::batched` only picks the game: for
-//! models with a [`xai_core::ModelOracle`] surface and ≤ 64 features the
-//! batched game is [`masked::MaskedPredictionGame`], which evaluates
-//! coalitions zero-copy; unbatched plans use the scalar
-//! [`game::PredictionGame`]. All games are bit-identical at every seed.
+//! single model calls. The input's arity picks the game: up to 64
+//! features it is [`masked::MaskedPredictionGame`], which evaluates
+//! coalitions zero-copy; wider inputs use the materializing
+//! [`batch::BatchPredictionGame`]. `RunConfig::batched` selects nothing.
+//! Both games are bit-identical to the scalar [`game::PredictionGame`] at
+//! every seed.
 pub mod asymmetric;
 pub mod batch;
 pub mod causal;

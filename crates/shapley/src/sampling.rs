@@ -62,7 +62,7 @@ pub fn try_permutation_shapley(
 
 /// Budget-aware fallible permutation sampling — the one-stream
 /// sequential layout: walks drawn from `seed_from_u64(seed)` in rounds of
-/// [`PERMS_PER_CHUNK`], each round's walk coalitions evaluated in one
+/// `PERMS_PER_CHUNK`, each round's walk coalitions evaluated in one
 /// [`BatchGame::values`] call. It stops drawing walks once
 /// `budget` is exhausted (each walk costs `n + 1` evaluations) and
 /// returns the **best-effort partial estimate** from the walks that did
@@ -70,7 +70,7 @@ pub fn try_permutation_shapley(
 /// [`XaiError::BudgetExceeded`] only when the budget expires before the
 /// first walk. An eval cap of `k` runs exactly the walks that start
 /// below `k` evaluations, so its truncation point is deterministic; a
-/// wall-clock deadline is checked between rounds of [`PERMS_PER_CHUNK`]
+/// wall-clock deadline is checked between rounds of `PERMS_PER_CHUNK`
 /// walks, so its truncation point is machine-dependent.
 pub fn try_permutation_shapley_budgeted(
     game: &dyn BatchGame,

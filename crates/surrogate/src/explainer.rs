@@ -1,20 +1,20 @@
 //! Unified-layer `Explainer` impls for the surrogate family (DESIGN.md
 //! §9): LIME, SP-LIME, PDP/ICE and integrated-gradients saliency.
 //!
-//! Dispatch contract (pinned by `tests/explain_golden.rs`):
-//! `RunConfig::batched` routes LIME and PDP through the model's batch
-//! surface instead of its scalar one — same body, same bits. `workers > 1`
-//! runs LIME's and SP-LIME's chunk grids on the executor through
+//! Dispatch contract (pinned by `tests/explain_golden.rs`): LIME and PDP
+//! evaluate the model through its batch surface (`predict_batch`);
+//! `RunConfig::batched` selects nothing. `workers > 1` runs LIME's and
+//! SP-LIME's chunk grids on the executor through
 //! [`xai_core::backend::dispatch_local`], the same `explain_chunks` →
 //! `merge_chunks` code the shard backends run: LIME's chunk `c` draws
 //! from the `child_seed(seed, c)` stream (a different neighbourhood than
-//! the one-stream sequential layout, which budgeted and batched LIME
-//! plans keep at any worker count), while SP-LIME's per-candidate seeds
-//! make both layouts agree bit for bit. PDP and integrated gradients are
+//! the one-stream sequential layout, which budgeted LIME plans keep at
+//! any worker count), while SP-LIME's per-candidate seeds make both
+//! layouts agree bit for bit. PDP and integrated gradients are
 //! deterministic single passes with no random draws for the executor to
-//! steer. A `SampleBudget` is honoured by LIME on the scalar path (an
-//! eval cap of `k` equals an unbudgeted run with `n_samples = k` bit for
-//! bit); SP-LIME, PDP/ICE and integrated gradients reject budgets as
+//! steer. A `SampleBudget` is honoured by LIME on the sequential layout
+//! (an eval cap of `k` equals an unbudgeted run with `n_samples = k` bit
+//! for bit); SP-LIME, PDP/ICE and integrated gradients reject budgets as
 //! [`XaiError::Unsupported`] rather than silently ignoring the cap.
 
 use xai_core::backend::dispatch_local;
@@ -68,22 +68,11 @@ impl Explainer for LimeMethod {
     fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         let instance = req.need_instance("LIME")?;
         let plan = req.plan;
-        if plan.budgeted() && plan.batched {
-            return Err(XaiError::Unsupported {
-                context: "budgeted LIME is scalar; set batched = false".into(),
-            });
-        }
-        if plan.parallel() && !plan.batched && !plan.budgeted() {
+        if plan.parallel() && !plan.budgeted() {
             return dispatch_local(self, model, req, plan.workers);
         }
         let explainer = LimeExplainer::fit(req.data);
-        let f = |m: &Matrix| {
-            if plan.batched {
-                model.predict_batch(m)
-            } else {
-                m.iter_rows().map(|x| model.predict(x)).collect()
-            }
-        };
+        let f = |m: &Matrix| model.predict_batch(m);
         let exp = explainer.sequential(&f, instance, self.config, plan.seed, plan.budget)?;
         Ok(Explanation::Attribution(lime_strict(exp, &req.plan)?))
     }
@@ -153,7 +142,7 @@ impl ShardableExplainer for LimeMethod {
         let grid = self.draw_grid(req)?;
         let explainer = LimeExplainer::fit(req.data);
         let width = lime::width_for(self.config, instance.len());
-        let f = |x: &[f64]| model.predict(x);
+        let f = |m: &Matrix| model.predict_batch(m);
         let mut out = Vec::with_capacity(chunks.len());
         for c in chunks {
             let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
@@ -449,13 +438,7 @@ impl Explainer for PdpMethod {
             });
         }
         let grid = feature_grid(req.data, feature, self.points);
-        let f = |m: &Matrix| {
-            if req.plan.batched {
-                model.predict_batch(m)
-            } else {
-                m.iter_rows().map(|x| model.predict(x)).collect()
-            }
-        };
+        let f = |m: &Matrix| model.predict_batch(m);
         let pd = pdp::try_sweep(&f, req.data, feature, &grid, self.max_rows, self.keep_ice)?;
         Ok(Explanation::Curve(CurveExplanation {
             feature: pd.feature,

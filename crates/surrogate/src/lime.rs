@@ -168,8 +168,8 @@ impl LimeExplainer {
     /// design matrix (intercept in column 0), and the locality weights.
     /// Perturbation draws consume the RNG in the same per-feature order as
     /// the historical interleaved loop, and model evaluation consumes no
-    /// randomness, so both the scalar and the batched paths see identical
-    /// neighbourhoods at the same seed.
+    /// randomness, so a scalar closure and a batch model surface see
+    /// identical neighbourhoods at the same seed.
     fn neighbourhood(
         &self,
         instance: &[f64],
@@ -200,34 +200,36 @@ impl LimeExplainer {
         (raws, design, weights, width)
     }
 
-    /// The chunk layout: draws and evaluates one chunk of neighbourhood
-    /// probes from `rng`'s stream. Chunk `c` of the grid runs this body
-    /// with an RNG seeded `child_seed(seed, c)`, so in-process `workers > 1`
-    /// runs and cross-process shards reproduce each other bit for bit.
+    /// The chunk layout: draws one chunk of neighbourhood probes from
+    /// `rng`'s stream and evaluates them in one batch model call. Chunk
+    /// `c` of the grid runs this body with an RNG seeded
+    /// `child_seed(seed, c)`, so in-process `workers > 1` runs and
+    /// cross-process shards reproduce each other bit for bit.
     pub(crate) fn probe_chunk(
         &self,
-        model: &dyn Fn(&[f64]) -> f64,
+        model: &dyn Fn(&Matrix) -> Vec<f64>,
         instance: &[f64],
         width: f64,
         count: usize,
         rng: &mut StdRng,
     ) -> XaiResult<Vec<LimeProbe>> {
+        let d = instance.len();
         let origin = self.instance_interp(instance);
+        let mut raws = Matrix::zeros(count, d);
         let mut drawn = Vec::with_capacity(count);
-        for _ in 0..count {
+        for i in 0..count {
             let (raw, interp) = self.perturb(instance, rng);
             let dist2: f64 =
                 interp.iter().zip(&origin).map(|(a, b)| (a - b) * (a - b)).sum();
-            let weight = (-dist2 / (width * width)).exp();
-            drawn.push((raw, interp, weight));
+            raws.row_mut(i).copy_from_slice(&raw);
+            drawn.push((interp, (-dist2 / (width * width)).exp()));
         }
-        let targets = catch_model("LIME neighbourhood evaluation", || {
-            drawn.iter().map(|(raw, _, _)| model(raw)).collect::<Vec<f64>>()
-        })?;
+        let targets = catch_model("LIME neighbourhood evaluation", || model(&raws))?;
+        check_arity(targets.len(), count)?;
         Ok(drawn
             .into_iter()
             .zip(targets)
-            .map(|((_, interp, weight), target)| (interp, weight, target))
+            .map(|((interp, weight), target)| (interp, weight, target))
             .collect())
     }
 
@@ -309,7 +311,7 @@ impl LimeExplainer {
     ///   per-probe from one seeded RNG, and the kernel width does not
     ///   depend on the sample count);
     /// - a wall-clock deadline is checked between evaluation rounds of
-    ///   [`PROBES_PER_CHUNK`] probes;
+    ///   `PROBES_PER_CHUNK` probes;
     /// - fewer than 8 completed probes is not a neighbourhood; the call
     ///   fails with [`XaiError::BudgetExceeded`] carrying the completed
     ///   count.
@@ -330,7 +332,7 @@ impl LimeExplainer {
     /// round at a time — the whole metered prefix at once, or
     /// [`PROBES_PER_CHUNK`] probes per round when a deadline must be
     /// checked between rounds — and fitted. A scalar model enters through
-    /// a row loop, so `batched` never changes the draws or the bits.
+    /// a row loop, so the surface never changes the draws or the bits.
     pub(crate) fn sequential(
         &self,
         model: &dyn Fn(&Matrix) -> Vec<f64>,
@@ -356,19 +358,11 @@ impl LimeExplainer {
                     let rows = raws.as_slice()[start * d..end * d].to_vec();
                     model(&Matrix::from_vec(end - start, d, rows))
                 };
-                if out.len() != end - start {
-                    return Err(XaiError::ModelFault {
-                        context: format!(
-                            "LIME batched model returned {} outputs for {} probes",
-                            out.len(),
-                            end - start
-                        ),
-                    });
-                }
+                check_arity(out.len(), end - start)?;
                 t.extend(out);
                 meter.record(end - start);
             }
-            Ok((t, model(&Matrix::from_rows(&[instance.to_vec()]))[0]))
+            Ok::<_, XaiError>((t, model(&Matrix::from_rows(&[instance.to_vec()]))[0]))
         })??;
         let done = targets.len();
         if done < MIN_PROBES {
@@ -459,6 +453,17 @@ impl LimeExplainer {
 /// Rejects non-finite model outputs on the neighbourhood — the model (not
 /// the caller's data) produced them, so they map to
 /// [`XaiError::ModelFault`].
+/// Rejects a batch model call that returned the wrong number of outputs;
+/// shared by both draw layouts.
+fn check_arity(outputs: usize, probes: usize) -> XaiResult<()> {
+    if outputs != probes {
+        return Err(XaiError::ModelFault {
+            context: format!("LIME batched model returned {outputs} outputs for {probes} probes"),
+        });
+    }
+    Ok(())
+}
+
 pub(crate) fn check_targets(targets: &[f64], prediction: f64) -> XaiResult<()> {
     if let Some(i) = targets.iter().position(|t| !t.is_finite()) {
         return Err(XaiError::ModelFault {

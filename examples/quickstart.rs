@@ -25,8 +25,8 @@ fn main() {
     let names = data.schema().names();
 
     // One request + one execution plan serve every explainer below: the
-    // seed, the worker count and the batched switch travel with the
-    // request instead of selecting differently-named functions.
+    // seed and the worker count travel with the request instead of
+    // selecting differently-named functions.
     let valuation = xai::datavalue::KnnUtility::new(&train, &test, 5);
     let req = ExplainRequest::new(&train)
         .instance(&applicant)

@@ -76,9 +76,9 @@ fn main() {
             .expect("a rejected applicant exists")
             .to_vec()
     };
-    // One execution plan serves every method: seed, worker count and the
-    // batched switch replace the per-method twin functions.
-    let plan = RunConfig::seeded(7).with_workers(2).with_batched(true);
+    // One execution plan serves every method: seed and worker count
+    // replace the per-method twin functions.
+    let plan = RunConfig::seeded(7).with_workers(2);
     let utility = xai::datavalue::KnnUtility::new(&data, &data, 5);
     let req = ExplainRequest::new(&data)
         .instance(&applicant)

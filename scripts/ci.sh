@@ -18,10 +18,10 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# Doc links must resolve, so a link to a renamed or deleted item fails
-# here instead of going stale.
-echo "==> cargo doc --workspace --no-deps (broken intra-doc links denied)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+# Docs must build without a warning, so a link to a renamed, deleted or
+# private item fails here instead of going stale.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo bench -p xai-bench --no-run (compile only)"
 cargo bench -p xai-bench --no-run

@@ -38,7 +38,7 @@
 //!
 //! Every method is an [`core::Explainer`]: build one [`core::ExplainRequest`]
 //! carrying the data, the instance and a [`core::RunConfig`] execution plan
-//! (seed, workers, batching, budget), then call `explain` on any method —
+//! (seed, workers, budget), then call `explain` on any method —
 //! or resolve methods by taxonomy coordinates from the
 //! [`unified::runnable_registry`].
 //!
@@ -53,7 +53,7 @@
 //! let row = data.row(0).to_vec();
 //! let req = ExplainRequest::new(&data)
 //!     .instance(&row)
-//!     .plan(RunConfig::seeded(7).with_workers(2).with_batched(true));
+//!     .plan(RunConfig::seeded(7).with_workers(2));
 //! let explanation = KernelShapMethod::default().explain(&model, &req).unwrap();
 //! let attribution = explanation.as_attribution().unwrap();
 //! assert!(attribution.efficiency_gap() < 1e-6);

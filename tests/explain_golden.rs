@@ -6,8 +6,10 @@
 //! `Explanation::to_json_string()` bytes in
 //! `tests/fixtures/explain_golden.json`. A plan the method rejects is
 //! pinned as its typed error variant, so the accepted/rejected plan set
-//! is part of the contract too. The inputs are the `unified_api` suite's:
-//! the same dataset, model, backgrounds, rows, configs and seeds.
+//! is part of the contract too. `batched` selects nothing, so every
+//! `b1` outcome must also equal its `b0` twin. The inputs are the
+//! `unified_api` suite's: the same dataset, model, backgrounds, rows,
+//! configs and seeds.
 //!
 //! Regenerate the fixture after an intentional output change:
 //!
@@ -132,7 +134,15 @@ fn render(cases: &[(String, String)]) -> String {
 
 #[test]
 fn explain_bytes_match_the_golden_fixture() {
-    let rendered = render(&cases());
+    let cases = cases();
+    // `batched` is the innermost plan axis and selects nothing: every
+    // `b1` case must equal its `b0` twin, fixture or no fixture.
+    for pair in cases.chunks(2) {
+        let [(b0, off), (b1, on)] = pair else { unreachable!("cases come in b0/b1 pairs") };
+        assert_eq!(b0.replace(" b0 ", " b1 "), *b1, "case order lost its b0/b1 pairing");
+        assert_eq!(off, on, "{b1} diverged from {b0}");
+    }
+    let rendered = render(&cases);
     if std::env::var_os("XAI_REGEN_GOLDEN").is_some() {
         std::fs::write(fixture_path(), &rendered).unwrap();
         return;

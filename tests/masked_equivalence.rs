@@ -14,7 +14,9 @@
 //!   counters prove the warm run was actually served from the memo;
 //! - under serve concurrency, repeated traffic against a memo-enabled
 //!   service stays byte-identical to a memo-disabled service and to the
-//!   direct `Explainer::explain` twin.
+//!   direct `Explainer::explain` twin, and `RunConfig::batched` selects
+//!   nothing: unbatched and budgeted plans serve their batched twins'
+//!   bytes, through the same memo.
 
 mod common;
 
@@ -373,4 +375,26 @@ fn serve_soak_is_memo_invariant_and_hits_the_memo() {
     let plain_stats = plain.stats();
     assert_eq!(plain_stats.memo_hits, 0, "capacity-0 memo must never hit");
     assert_eq!(plain_stats.memo_evictions, 0);
+
+    // `batched` selects nothing: an unbatched Kernel SHAP request runs the
+    // same memo-wrapped game, so on a fresh service it consults the memo
+    // and serves the payload of its batched twin.
+    let request = |method: &str, plan: RunConfig| {
+        ServeRequest::new(method, "credit").with_instance(&instance).with_plan(plan)
+    };
+    let unbatched = build(1 << 14);
+    let scalar = unbatched.submit(&request("Kernel SHAP", RunConfig::seeded(5))).unwrap();
+    let stats = unbatched.stats();
+    assert!(stats.memo_hits + stats.memo_misses > 0, "unbatched plan skipped the memo: {stats:?}");
+    let twin = plain.submit(&request("Kernel SHAP", RunConfig::seeded(5).with_batched(true)));
+    assert_eq!(scalar.payload, twin.unwrap().payload, "unbatched Kernel SHAP diverged");
+
+    // A budget does not refuse `batched: true`: at workers = 1 each
+    // budgeted sampler serves the bytes of its `batched: false` twin.
+    for (method, cap) in [("Permutation sampling Shapley", 60), ("Kernel SHAP", 40), ("LIME", 40)] {
+        let plan = RunConfig::seeded(3).with_budget(SampleBudget::with_max_evals(cap));
+        let batched = memoized.submit(&request(method, plan.with_batched(true))).unwrap();
+        let unbatched = memoized.submit(&request(method, plan)).unwrap();
+        assert_eq!(batched.payload, unbatched.payload, "budgeted {method} diverged");
+    }
 }

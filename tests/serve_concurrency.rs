@@ -124,8 +124,8 @@ fn memo_eviction_soak_keeps_bytes_and_counters_exact() {
     // to its contract: it is *transparent* (every payload byte-identical
     // to the direct run) and its counters balance exactly.
     //
-    // The traffic is Kernel SHAP on the batched path (the only path that
-    // consults the memo) at many distinct seeds: distinct seeds defeat
+    // The traffic is Kernel SHAP, whose coalition game consults the
+    // memo, at many distinct seeds: distinct seeds defeat
     // the result cache (every submission reaches the explainer) while
     // still sharing memo keys, because coalition values are
     // seed-independent. Each request's lookup count is deterministic, so

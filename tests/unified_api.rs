@@ -183,29 +183,30 @@ fn lime_and_sp_lime_match_their_legacy_entry_points() {
     let explainer = LimeExplainer::fit(&data);
     let f = proba_fn(&model);
 
-    // The model's batch surface matches its scalar one row for row, so
-    // batched and scalar plans share the sequential reference draw.
+    // `workers == 1` reproduces the sequential reference draw; `workers > 1`
+    // runs the chunk grid (a different draw schedule), whose reference is
+    // the whole grid evaluated by one `explain_chunks` call and merged.
+    // `batched` selects neither.
+    let method = LimeMethod { config: cfg };
     let reference = explainer.try_explain(&f, &row, cfg, 31).unwrap();
+    let grid_req = ExplainRequest::new(&data).instance(&row).plan(RunConfig::seeded(31));
+    let shardable = method.as_shardable().unwrap();
+    let chunks = shardable.draw_grid(&grid_req).unwrap().n_chunks();
+    let partial = shardable.explain_chunks(&model, &grid_req, 0..chunks).unwrap();
+    let grid_reference =
+        attribution(shardable.merge_chunks(&model, &grid_req, vec![partial]).unwrap());
     for batched in [false, true] {
-        // Batched runs and single-worker scalar runs reproduce the
-        // sequential draw exactly; `workers > 1` on the scalar path takes
-        // the chunk grid (a different draw schedule), which must be
-        // worker-count invariant.
-        let mut parallel_runs = Vec::new();
         for workers in WORKER_GRID {
             let req = ExplainRequest::new(&data)
                 .instance(&row)
                 .plan(RunConfig::seeded(31).with_workers(workers).with_batched(batched));
-            let got =
-                attribution(LimeMethod { config: cfg }.explain(&model, &req).unwrap());
-            if batched || workers == 1 {
-                assert_eq!(got.values, reference.attribution.values, "batched={batched}");
+            let got = attribution(method.explain(&model, &req).unwrap());
+            let want = if workers == 1 {
+                &reference.attribution.values
             } else {
-                parallel_runs.push(got.values);
-            }
-        }
-        for w in parallel_runs.windows(2) {
-            assert_eq!(w[0], w[1], "parallel LIME must be worker-count invariant");
+                &grid_reference.values
+            };
+            assert_eq!(&got.values, want, "workers={workers} batched={batched}");
         }
     }
 
