@@ -5,9 +5,11 @@
 //! bit-identically. [`ExecutionBackend::execute`] over a [`BackendJob`]
 //! (explainer + model + request + shard count) is the one public way to
 //! run it, and [`LocalBackend`] (threads in this process),
-//! [`ProcessPoolBackend`] (`xai-shard-worker` OS processes) and
-//! [`ClusterBackend`] (TCP daemons behind a
-//! [`crate::transport::ClusterRunner`]) are its three implementations.
+//! [`ProcessPoolBackend`] (`xai-shard-worker` daemons it spawns on this
+//! machine) and [`ClusterBackend`] (daemons at given TCP addresses) are
+//! its three implementations. Both remote backends ship descriptors
+//! through a [`crate::transport::ClusterRunner`], so remote work has one
+//! wire protocol, one supervisor and one fault plan.
 //! The serving engine ([`crate::serve::ExplanationService`]) routes
 //! requests through the same trait, selected by the typed
 //! [`BackendChoice`] travelling inside every
@@ -27,35 +29,36 @@
 //!
 //! - [`LocalBackend`]: errors surface exactly as `explain` would raise
 //!   them; there is no transport to degrade.
-//! - [`ProcessPoolBackend`]: worker failures are typed
-//!   ([`XaiError::WorkerPanic`], [`XaiError::ModelFault`],
-//!   [`XaiError::Parse`], [`XaiError::BudgetExceeded`] past the wave
-//!   deadline) and never silently retried — a pool lives on one machine,
-//!   so a deterministic failure would only repeat.
+//! - [`ProcessPoolBackend`]: transport failures are retried onto a
+//!   sibling daemon, never hedged, and never degraded
+//!   ([`FallbackPolicy::Fail`]): what survives the retries is a typed
+//!   error ([`XaiError::ModelFault`] for a daemon that exited abnormally,
+//!   [`XaiError::BudgetExceeded`] past [`PoolConfig::deadline`],
+//!   [`XaiError::Parse`] for garbage), and the failed daemons are
+//!   replaced before the next job.
 //! - [`ClusterBackend`]: transport failures are retried, hedged and
 //!   breaker-routed by the [`ClusterRunner`]; when the whole cluster is
 //!   unreachable and [`FallbackPolicy::InProcess`] allows, the job
 //!   degrades to [`LocalBackend`] semantics and the outcome carries
-//!   `degraded: true`. Execution failures (typed envelopes from a worker
-//!   that *ran* the shard) are deterministic and are never retried or
-//!   degraded.
+//!   `degraded: true`.
+//!
+//! On both remote backends, execution failures (typed envelopes such as
+//! [`XaiError::WorkerPanic`] from a worker that *ran* the shard) are
+//! deterministic and are never retried or degraded.
 
-use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use crate::error::{IoKind, XaiError, XaiResult};
+use crate::error::{XaiError, XaiResult};
 use crate::explainer::{ExplainRequest, Explanation, ModelOracle};
-use crate::json_parse::parse_json;
 use crate::report::Json;
 use crate::serve::fingerprint_bytes;
 use crate::shard::{
-    build_descriptors, error_from_json, is_error_envelope, merge_shard_results,
-    shard_chunk_ranges, wire_error, ShardDescriptor, ShardResult, ShardableExplainer,
+    build_descriptors, merge_shard_results, shard_chunk_ranges, wire_error, ShardDescriptor,
+    ShardableExplainer,
 };
-use crate::transport::{ClusterRunner, FallbackPolicy};
+use crate::transport::{ClusterConfig, ClusterRunner, DaemonHandle, FallbackPolicy};
 use xai_rand::parallel::try_par_map_seeded;
 
 // ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ use xai_rand::parallel::try_par_map_seeded;
 pub enum BackendKind {
     /// Threads in this process.
     Local,
-    /// `xai-shard-worker` OS processes on this machine.
+    /// `xai-shard-worker --listen` daemons spawned on this machine.
     ProcessPool,
     /// `xai-shard-worker --listen` daemons over TCP.
     Cluster,
@@ -85,6 +88,12 @@ impl BackendKind {
     }
 }
 
+/// The most shard descriptors one plan may be cut into. Every descriptor
+/// carries a copy of the dataset and runs on its own supervisor thread,
+/// so a shard count that arrives in a request is refused above this
+/// before anything is built.
+pub const MAX_SHARDS: usize = 256;
+
 /// Where a run should execute, as carried by
 /// [`crate::explainer::RunConfig::backend`]. `Local` is the default and
 /// the only choice that needs no shard count; the remote choices name
@@ -94,7 +103,8 @@ pub enum BackendChoice {
     /// Run in-process (threads); the historical behaviour.
     #[default]
     Local,
-    /// Fan out across `shards` worker processes on this machine.
+    /// Fan out across `shards` descriptors shipped to daemons on this
+    /// machine.
     ProcessPool {
         /// Number of shard descriptors (>= 1).
         shards: usize,
@@ -107,15 +117,27 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// A process-pool choice over `shards` descriptors (>= 1).
+    /// A process-pool choice over `shards` descriptors.
+    ///
+    /// # Panics
+    /// Unless `1 <= shards <=` [`MAX_SHARDS`].
     pub fn process_pool(shards: usize) -> Self {
-        assert!(shards >= 1, "process-pool backend needs at least one shard");
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "process-pool shards must be in 1..={MAX_SHARDS}"
+        );
         BackendChoice::ProcessPool { shards }
     }
 
-    /// A cluster choice over `shards` descriptors (>= 1).
+    /// A cluster choice over `shards` descriptors.
+    ///
+    /// # Panics
+    /// Unless `1 <= shards <=` [`MAX_SHARDS`].
     pub fn cluster(shards: usize) -> Self {
-        assert!(shards >= 1, "cluster backend needs at least one shard");
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "cluster shards must be in 1..={MAX_SHARDS}"
+        );
         BackendChoice::Cluster { shards }
     }
 
@@ -154,7 +176,7 @@ impl BackendChoice {
 
     /// Strict parse of the wire form: unknown fields and kinds are typed
     /// [`XaiError::Parse`] errors; `local` must not carry a shard count;
-    /// remote kinds require an integer `shards >= 1`.
+    /// remote kinds require an integer `shards` in `1..=`[`MAX_SHARDS`].
     pub fn from_json(json: &Json) -> XaiResult<Self> {
         const WHAT: &str = "ExecPlan backend";
         let Json::Obj(fields) = json else {
@@ -172,9 +194,9 @@ impl BackendChoice {
         let shards = match json.get("shards") {
             None | Some(Json::Null) => None,
             Some(Json::Num(n)) => {
-                if n.fract() != 0.0 || *n < 1.0 || *n > u32::MAX as f64 {
+                if n.fract() != 0.0 || *n < 1.0 || *n > MAX_SHARDS as f64 {
                     return Err(wire_error(format!(
-                        "{WHAT}: 'shards' must be an integer >= 1, got {n}"
+                        "{WHAT}: 'shards' must be an integer in 1..={MAX_SHARDS}, got {n}"
                     )));
                 }
                 Some(*n as usize)
@@ -345,220 +367,122 @@ impl ExecutionBackend for LocalBackend {
 }
 
 // ---------------------------------------------------------------------------
-// Process-pool backend: xai-shard-worker OS processes
+// Process-pool backend: supervised local xai-shard-worker daemons
 // ---------------------------------------------------------------------------
 
-/// How the process pool launches and supervises its workers.
+/// How the process pool launches and supervises its daemons.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
     /// Path to the `xai-shard-worker` executable.
     pub worker_exe: PathBuf,
-    /// Maximum concurrently running worker processes (a wave).
+    /// How many `xai-shard-worker --listen` daemons the pool runs (>= 1).
     pub max_procs: usize,
-    /// Wall-clock deadline per wave; a straggler past it is killed and
-    /// the run fails with [`XaiError::BudgetExceeded`]. `None` waits
-    /// indefinitely for well-behaved workers.
-    pub deadline: Option<Duration>,
-    /// Extra environment variables for every worker (used by the
+    /// Per-shard response bound: a daemon that has not answered a shard
+    /// within it is past its deadline ([`XaiError::BudgetExceeded`]).
+    pub deadline: Duration,
+    /// Extra environment variables for every daemon (used by the
     /// fault-injection tests; empty in normal operation).
     pub env: Vec<(String, String)>,
 }
 
 impl PoolConfig {
-    /// A pool over the given worker executable: workers capped at the
-    /// executor's default parallelism, a generous 60 s wave deadline.
+    /// A pool over the given worker executable: one daemon per unit of
+    /// the executor's default parallelism, a generous 60 s deadline.
     pub fn new(worker_exe: impl Into<PathBuf>) -> Self {
         PoolConfig {
             worker_exe: worker_exe.into(),
             max_procs: xai_rand::parallel::default_workers(),
-            deadline: Some(Duration::from_secs(60)),
+            deadline: Duration::from_secs(60),
             env: Vec::new(),
         }
     }
 }
 
-/// One supervised worker process and the threads shuttling its pipes.
-struct Running {
-    child: Child,
-    shard: usize,
-    status: Option<ExitStatus>,
-    writer: Option<std::thread::JoinHandle<()>>,
-    reader: Option<std::thread::JoinHandle<std::io::Result<String>>>,
+/// One set of pool daemons and the runner over their addresses. Dropping
+/// it kills and reaps every daemon, a hung one included.
+struct Generation {
+    daemons: Vec<DaemonHandle>,
+    runner: Arc<ClusterRunner>,
 }
 
-impl Running {
-    /// Kills the child if still alive and joins the pipe threads. Safe to
-    /// call on an already-reaped worker.
-    fn abort(&mut self) {
-        if self.status.is_none() {
-            let _ = self.child.kill();
-            self.status = self.child.wait().ok();
-        }
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
-        }
-        if let Some(r) = self.reader.take() {
-            let _ = r.join();
-        }
+impl Generation {
+    fn spawn(pool: &PoolConfig) -> XaiResult<Generation> {
+        let env: Vec<(&str, &str)> =
+            pool.env.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let daemons = (0..pool.max_procs)
+            .map(|_| DaemonHandle::spawn(&pool.worker_exe, &env))
+            .collect::<XaiResult<Vec<_>>>()?;
+        let mut config = ClusterConfig::new(daemons.iter().map(|d| d.addr().to_string()));
+        config.io_timeout = pool.deadline;
+        config.fallback = FallbackPolicy::Fail;
+        let runner = Arc::new(ClusterRunner::new(config)?);
+        Ok(Generation { daemons, runner })
     }
 }
 
-fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig) -> XaiResult<Running> {
-    let mut cmd = Command::new(&pool.worker_exe);
-    cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::null());
-    for (k, v) in &pool.env {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().map_err(|e| {
-        XaiError::from_io(&e, format_args!("spawning shard worker '{}'", pool.worker_exe.display()))
-    })?;
-    let mut stdin = child.stdin.take().expect("stdin was piped");
-    let text = desc.to_json_string();
-    // Writer thread: a worker that never reads (or dies early) must not
-    // deadlock us on a full pipe; EPIPE is simply ignored.
-    let writer = std::thread::spawn(move || {
-        let _ = stdin.write_all(text.as_bytes());
-    });
-    let mut stdout = child.stdout.take().expect("stdout was piped");
-    let reader = std::thread::spawn(move || {
-        let mut out = String::new();
-        stdout.read_to_string(&mut out).map(|_| out)
-    });
-    Ok(Running { child, shard: desc.shard, status: None, writer: Some(writer), reader: Some(reader) })
-}
-
-/// Waits for every worker in the wave, killing stragglers at the
-/// deadline.
-fn await_wave(wave: &mut [Running], pool: &PoolConfig, completed_before: usize) -> XaiResult<()> {
-    let start = Instant::now();
-    loop {
-        let mut finished = 0;
-        for r in wave.iter_mut() {
-            if r.status.is_none() {
-                match r.child.try_wait() {
-                    Ok(Some(st)) => r.status = Some(st),
-                    Ok(None) => continue,
-                    Err(e) => {
-                        return Err(XaiError::from_io(
-                            &e,
-                            format_args!("waiting for shard worker {}", r.shard),
-                        ))
-                    }
-                }
-            }
-            finished += 1;
-        }
-        if finished == wave.len() {
-            return Ok(());
-        }
-        if let Some(deadline) = pool.deadline {
-            if start.elapsed() > deadline {
-                return Err(XaiError::BudgetExceeded {
-                    context: format!(
-                        "shard process pool: wave exceeded the {deadline:?} deadline \
-                         ({finished} of {} workers finished)",
-                        wave.len()
-                    ),
-                    completed: completed_before + finished,
-                });
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Interprets one finished worker: exit status, stdout bytes, envelope
-/// or result.
-fn collect_worker(r: &mut Running) -> XaiResult<ShardResult> {
-    let status = r.status.expect("worker was awaited");
-    let output = match r.reader.take().expect("reader not yet joined").join() {
-        Ok(Ok(text)) => text,
-        Ok(Err(e)) => {
-            return Err(XaiError::from_io(
-                &e,
-                format_args!("reading shard worker {} stdout", r.shard),
-            ))
-        }
-        Err(_) => {
-            return Err(XaiError::io(
-                IoKind::Other,
-                format!("shard worker {} stdout reader thread panicked", r.shard),
-            ))
-        }
-    };
-    if let Some(w) = r.writer.take() {
-        let _ = w.join();
-    }
-    if !status.success() {
-        return Err(XaiError::ModelFault {
-            context: format!("shard worker for shard {} exited abnormally ({status})", r.shard),
-        });
-    }
-    let json = parse_json(output.trim()).map_err(|_| {
-        wire_error(format!(
-            "shard worker {} wrote unparseable output ({} bytes)",
-            r.shard,
-            output.len()
-        ))
-    })?;
-    if is_error_envelope(&json) {
-        let err = error_from_json(&json)?;
-        // The worker may not know its shard index at panic time; pin it.
-        return Err(match err {
-            XaiError::WorkerPanic { message, .. } => {
-                XaiError::WorkerPanic { task: r.shard, message }
-            }
-            other => other,
-        });
-    }
-    ShardResult::from_json(&json)
-}
-
-/// Executes descriptors in waves of [`PoolConfig::max_procs`] worker
-/// processes: descriptor on stdin, result (or envelope) on stdout.
-fn run_pool_descriptors(
-    descs: &[ShardDescriptor],
-    pool: &PoolConfig,
-) -> XaiResult<Vec<ShardResult>> {
-    assert!(pool.max_procs >= 1, "need at least one worker process");
-    let mut results = Vec::with_capacity(descs.len());
-    for batch in descs.chunks(pool.max_procs) {
-        let mut wave: Vec<Running> = Vec::with_capacity(batch.len());
-        let outcome = (|| {
-            for desc in batch {
-                wave.push(spawn_worker(desc, pool)?);
-            }
-            await_wave(&mut wave, pool, results.len())?;
-            for r in &mut wave {
-                results.push(collect_worker(r)?);
-            }
-            Ok(())
-        })();
-        if let Err(e) = outcome {
-            for r in &mut wave {
-                r.abort();
-            }
-            return Err(e);
-        }
-    }
-    Ok(results)
-}
-
-/// OS-process execution on this machine: waves of `xai-shard-worker`
-/// processes, each fed one descriptor on stdin. Worker failure modes all
-/// surface as typed errors, never a hang: a panicking worker is
-/// [`XaiError::WorkerPanic`], garbage output is [`XaiError::Parse`], an
-/// abnormal exit is [`XaiError::ModelFault`], and a straggler past
-/// [`PoolConfig::deadline`] is killed and reported as
-/// [`XaiError::BudgetExceeded`].
+/// OS-process execution on this machine: a [`ClusterRunner`] over
+/// [`PoolConfig::max_procs`] local `xai-shard-worker --listen` daemons
+/// that the pool spawns on first use and replaces when one has exited.
+/// It is the cluster transport with the endpoints owned, so it has the
+/// same wire protocol, supervision and fault plan:
+///
+/// - the runner's config is [`ClusterConfig::new`] over the daemons'
+///   addresses with `io_timeout` = [`PoolConfig::deadline`] and
+///   [`FallbackPolicy::Fail`], so a pool failure is always a typed error
+///   and never silently degraded;
+/// - every other field keeps the runner's default: transport-class
+///   failures are retried onto a sibling daemon, nothing is hedged (the
+///   daemons share this machine's CPUs), and the shard cache is on
+///   (sound because shards are deterministic);
+/// - execution envelopes ([`XaiError::WorkerPanic`] with the shard
+///   index, [`XaiError::ModelFault`], …) pass through unchanged and are
+///   never retried;
+/// - on a transport failure the daemons are dropped (killed and reaped)
+///   and the next `execute` spawns fresh ones. The error is
+///   [`XaiError::ModelFault`] when a daemon had exited abnormally;
+///   otherwise it is the runner's own: [`XaiError::BudgetExceeded`] for
+///   a daemon silent past the deadline, [`XaiError::Parse`] for garbage.
+///
+/// `new` starts nothing, so a missing binary is a typed
+/// [`XaiError::Io`] from `execute`.
 pub struct ProcessPoolBackend {
     pool: PoolConfig,
+    generation: Mutex<Option<Generation>>,
 }
 
 impl ProcessPoolBackend {
     /// A backend over the given pool configuration.
     pub fn new(pool: PoolConfig) -> Self {
-        ProcessPoolBackend { pool }
+        ProcessPoolBackend { pool, generation: Mutex::new(None) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<Generation>> {
+        self.generation.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The live generation's runner, spawning the daemons if there are
+    /// none or replacing them if any has exited.
+    fn runner(&self) -> XaiResult<Arc<ClusterRunner>> {
+        let mut slot = self.lock();
+        if let Some(generation) = slot.as_mut() {
+            if generation.daemons.iter_mut().all(|d| d.try_wait().is_none()) {
+                return Ok(Arc::clone(&generation.runner));
+            }
+        }
+        *slot = None;
+        Ok(Arc::clone(&slot.insert(Generation::spawn(&self.pool)?).runner))
+    }
+
+    /// Drops `runner`'s generation, unless a concurrent `execute` already
+    /// replaced it, and names a daemon that had exited abnormally.
+    fn retire(&self, runner: &Arc<ClusterRunner>) -> Option<XaiError> {
+        let mut generation = self.lock().take_if(|g| Arc::ptr_eq(&g.runner, runner))?;
+        generation.daemons.iter_mut().find_map(|d| {
+            let status = d.try_wait().filter(|status| !status.success())?;
+            Some(XaiError::ModelFault {
+                context: format!("shard daemon {} exited abnormally ({status})", d.addr()),
+            })
+        })
     }
 }
 
@@ -570,8 +494,13 @@ impl ExecutionBackend for ProcessPoolBackend {
     fn execute(&self, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
         let model_json = job.require_model_json("process-pool")?;
         let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
-        let results = run_pool_descriptors(&descs, &self.pool)?;
-        merge_shard_results(job.explainer, job.model, job.req, results).map(BackendOutcome::fresh)
+        let runner = self.runner()?;
+        match runner.run_classified(&descs) {
+            Ok(results) => merge_shard_results(job.explainer, job.model, job.req, results)
+                .map(BackendOutcome::fresh),
+            Err(failure) if failure.is_execution() => Err(failure.into_error()),
+            Err(failure) => Err(self.retire(&runner).unwrap_or_else(|| failure.into_error())),
+        }
     }
 }
 
@@ -595,7 +524,7 @@ impl ClusterBackend {
     }
 
     /// Builds a fresh runner from `config`.
-    pub fn from_config(config: crate::transport::ClusterConfig) -> XaiResult<Self> {
+    pub fn from_config(config: ClusterConfig) -> XaiResult<Self> {
         Ok(ClusterBackend::new(Arc::new(ClusterRunner::new(config)?)))
     }
 
@@ -640,6 +569,8 @@ impl ExecutionBackend for ClusterBackend {
 mod tests {
     use super::*;
     use crate::cache::Lru;
+    use crate::json_parse::parse_json;
+    use crate::shard::ShardResult;
 
     #[test]
     fn backend_choice_wire_round_trips() {
@@ -647,6 +578,7 @@ mod tests {
             BackendChoice::Local,
             BackendChoice::process_pool(4),
             BackendChoice::cluster(2),
+            BackendChoice::cluster(MAX_SHARDS),
         ] {
             let json = choice.to_json();
             assert_eq!(BackendChoice::from_json(&json).unwrap(), choice, "{}", json.to_json());
@@ -661,6 +593,8 @@ mod tests {
             r#"{"kind": "cluster"}"#,
             r#"{"kind": "cluster", "shards": 0}"#,
             r#"{"kind": "cluster", "shards": 1.5}"#,
+            r#"{"kind": "cluster", "shards": 257}"#,
+            r#"{"kind": "process_pool", "shards": 4294967295}"#,
             r#"{"kind": "cluster", "shards": 2, "turbo": true}"#,
             r#"{"shards": 2}"#,
             r#"["cluster", 2]"#,
@@ -669,6 +603,14 @@ mod tests {
             let err = BackendChoice::from_json(&json).unwrap_err();
             assert!(matches!(err, XaiError::Parse { .. }), "{bad}: {err:?}");
         }
+    }
+
+    #[test]
+    fn constructors_refuse_shard_counts_above_the_cap() {
+        let huge = u32::MAX as usize;
+        assert!(std::panic::catch_unwind(|| BackendChoice::cluster(huge)).is_err());
+        assert!(std::panic::catch_unwind(|| BackendChoice::process_pool(huge)).is_err());
+        assert!(std::panic::catch_unwind(|| BackendChoice::cluster(MAX_SHARDS + 1)).is_err());
     }
 
     #[test]

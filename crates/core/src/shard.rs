@@ -25,18 +25,17 @@
 //! - [`ShardDescriptor`] / [`ShardResult`] — the canonical JSON wire
 //!   forms (fixed field order, strict typed parsing like
 //!   [`crate::serve::ServeRequest`]) that let a shard run in another OS
-//!   process — or, later, on another machine — and ship its partial
-//!   back.
+//!   process, on this machine or another, and ship its partial back.
 //! - [`crate::backend::ExecutionBackend`] runs a shard plan: in-process
 //!   ([`crate::backend::LocalBackend`], shards as tasks on the fork-join
-//!   executor), across OS processes or across TCP daemons.
-//! - [`execute_descriptor`] — the worker side of a process pool:
+//!   executor) or on `xai-shard-worker` daemons, local
+//!   ([`crate::backend::ProcessPoolBackend`]) or remote
+//!   ([`crate::backend::ClusterBackend`]).
+//! - [`execute_descriptor`] — the worker side of a shard daemon:
 //!   rebuild the request from a descriptor, run the chunk range, return
-//!   the result. The process-pool runner itself lives in
-//!   [`crate::backend`] ([`crate::backend::ProcessPoolBackend`]); the
-//!   facade (`xai::shard`) supplies the method table and the model
-//!   decoder, and each method rebuilds itself from its config
-//!   ([`ShardableExplainer::from_config_json`]).
+//!   the result. The facade (`xai::shard`) supplies the method table and
+//!   the model decoder, and each method rebuilds itself from its config
+//!   ([`ShardableExplainer::rebuild_from_config`]).
 
 use std::ops::Range;
 
@@ -254,7 +253,7 @@ pub trait ShardableExplainer: Explainer {
     /// instance of the descriptor's card. Malformed configs are typed
     /// [`XaiError::Parse`] errors; so is a method that cannot be rebuilt
     /// (the default, for wrappers that only decorate another method).
-    fn from_config_json(&self, _config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, _config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         Err(wire_error(format!(
             "shard method: '{}' cannot be rebuilt from a config",
             self.card().name
@@ -815,13 +814,13 @@ pub fn merge_shard_results(
 }
 
 // ---------------------------------------------------------------------------
-// Error envelope: how a worker ships a typed failure over stdout
+// Error envelope: how a worker ships a typed failure over the wire
 // ---------------------------------------------------------------------------
 
 /// Serializes an [`XaiError`] as a canonical error envelope
 /// (`{"kind":"shard_error","class":...,"context":...,"detail":...}`), so
-/// worker processes can report typed failures on stdout and still exit
-/// cleanly.
+/// a shard daemon can answer a typed failure in a response frame and
+/// keep serving.
 pub fn error_to_json(e: &XaiError) -> Json {
     let (class, context, detail, io_kind) = match e {
         XaiError::NonFiniteInput { context } => ("non_finite_input", context.clone(), None, None),

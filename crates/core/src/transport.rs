@@ -11,7 +11,8 @@
 //! execution counters ([`ClusterRunner::stats`]); callers run a shard
 //! plan on it through [`crate::backend::ClusterBackend`], the
 //! [`crate::backend::ExecutionBackend`] that owns the merge and the
-//! fallback decision.
+//! fallback decision, or through [`crate::backend::ProcessPoolBackend`],
+//! which runs it over local daemons it spawns with [`DaemonHandle`].
 //!
 //! Connections are **reused**: each endpoint keeps a pool of idle
 //! persistent framed sessions, so a runner shipping many descriptors
@@ -61,8 +62,10 @@
 //! never trigger fallback; transport failures are environmental, so they
 //! are retried, re-routed, hedged, and ultimately degradable.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -962,6 +965,82 @@ pub fn serve_connection(
         };
         write_frame(&mut &*stream, reply.as_bytes(), what)?;
         served += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Spawning daemons (the process pool, tests, examples)
+// ---------------------------------------------------------------------------
+
+/// A spawned `xai-shard-worker --listen` daemon on an ephemeral loopback
+/// port. Killed and reaped on drop, so neither the process pool nor a
+/// test can leak processes.
+pub struct DaemonHandle {
+    child: Child,
+    addr: String,
+}
+
+impl DaemonHandle {
+    /// Spawns `exe --listen 127.0.0.1:0` with the given extra environment
+    /// variables (e.g. `XAI_TRANSPORT_FAULT`) and waits for the daemon to
+    /// report its bound address.
+    pub fn spawn(exe: impl AsRef<Path>, envs: &[(&str, &str)]) -> XaiResult<DaemonHandle> {
+        let exe = exe.as_ref();
+        let mut cmd = Command::new(exe);
+        cmd.args(["--listen", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null());
+        for (key, value) in envs {
+            cmd.env(key, value);
+        }
+        let mut child = cmd.spawn().map_err(|e| {
+            XaiError::from_io(&e, format_args!("spawning shard daemon '{}'", exe.display()))
+        })?;
+        let stdout = child.stdout.take().expect("stdout was piped");
+        let mut line = String::new();
+        let read = BufReader::new(stdout).read_line(&mut line);
+        match read {
+            Ok(n) if n > 0 => {}
+            _ => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(XaiError::io(
+                    IoKind::ShortRead,
+                    "shard daemon exited before reporting its address".to_string(),
+                ));
+            }
+        }
+        let addr = match line.trim().strip_prefix("listening on ") {
+            Some(addr) if !addr.is_empty() => addr.to_string(),
+            _ => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(wire_error(format!(
+                    "shard daemon announced '{}' instead of its address",
+                    line.trim()
+                )));
+            }
+        };
+        Ok(DaemonHandle { child, addr })
+    }
+
+    /// The daemon's bound `host:port`.
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// The daemon's exit status if it has exited, without blocking;
+    /// `None` while it runs.
+    pub fn try_wait(&mut self) -> Option<ExitStatus> {
+        self.child.try_wait().ok().flatten()
+    }
+}
+
+impl Drop for DaemonHandle {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 

@@ -295,7 +295,7 @@ impl ShardableExplainer for DiceMethod {
         ])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         const WHAT: &str = "DiCE config";
         Ok(Box::new(Self {
             config: DiceConfig {

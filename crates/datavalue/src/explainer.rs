@@ -172,7 +172,7 @@ impl ShardableExplainer for LooMethod {
     }
 
     /// LOO has no tunables, so any object is accepted.
-    fn from_config_json(&self, _config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, _config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         Ok(Box::new(Self))
     }
 }
@@ -285,7 +285,7 @@ impl ShardableExplainer for TmcMethod {
         ])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         let permutations = index_field(config, "permutations", "TMC config")?;
         if permutations == 0 {
             return Err(wire_error("TMC config: permutations must be >= 1"));
@@ -386,7 +386,7 @@ impl ShardableExplainer for BanzhafMethod {
         Json::obj(vec![("samples_per_point", Json::Num(self.config.samples_per_point as f64))])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         let samples_per_point = index_field(config, "samples_per_point", "Banzhaf config")?;
         if samples_per_point == 0 {
             return Err(wire_error("Banzhaf config: samples_per_point must be >= 1"));

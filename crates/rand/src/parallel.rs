@@ -25,6 +25,18 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The most threads one `par_map_*` run starts, whatever `workers` asks
+/// for: `workers` can arrive in a request, and a thread per task would
+/// let one request start as many threads as it has chunks.
+pub const MAX_THREADS: usize = 64;
+
+/// The threads a `par_map_*` run over `n_tasks` tasks starts:
+/// `min(workers, n_tasks, MAX_THREADS)`. Tasks are seeded by index and
+/// reduced in task order, so the count never changes a result.
+pub fn thread_count(workers: usize, n_tasks: usize) -> usize {
+    workers.min(n_tasks).min(MAX_THREADS)
+}
+
 /// A panic captured from one task of a `try_par_map_*` run.
 ///
 /// The lowest-indexed panicking task is reported, regardless of which
@@ -79,10 +91,10 @@ where
         let mut rng = StdRng::seed_from_u64(child_seed(seed, t as u64));
         f(t, &mut rng)
     };
-    if workers == 1 || n_tasks <= 1 {
+    let workers = thread_count(workers, n_tasks);
+    if workers <= 1 {
         return (0..n_tasks).map(run_task).collect();
     }
-    let workers = workers.min(n_tasks);
     let mut out: Vec<Option<U>> = (0..n_tasks).map(|_| None).collect();
     std::thread::scope(|scope| {
         let run_task = &run_task;
@@ -135,10 +147,10 @@ where
         }))
         .map_err(|payload| TaskPanic { task: t, message: panic_message(payload) })
     };
-    if workers == 1 || n_tasks <= 1 {
+    let workers = thread_count(workers, n_tasks);
+    if workers <= 1 {
         return (0..n_tasks).map(run_task).collect();
     }
-    let workers = workers.min(n_tasks);
     let mut out: Vec<Option<Result<U, TaskPanic>>> = (0..n_tasks).map(|_| None).collect();
     std::thread::scope(|scope| {
         let run_task = &run_task;
@@ -218,6 +230,15 @@ mod tests {
     fn more_workers_than_tasks_is_fine() {
         let out = par_map_seeded(2, 1, 8, |t, _| t);
         assert_eq!(out, vec![0, 1]);
+    }
+
+    #[test]
+    fn thread_count_is_capped_by_tasks_and_max_threads() {
+        let huge = u32::MAX as usize;
+        assert_eq!(thread_count(huge, huge), MAX_THREADS);
+        assert_eq!(thread_count(huge, 3), 3);
+        assert_eq!(thread_count(2, huge), 2);
+        assert_eq!(thread_count(4, 0), 0);
     }
 
     #[test]

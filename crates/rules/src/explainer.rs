@@ -233,7 +233,7 @@ impl ShardableExplainer for AnchorsMethod {
         ])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         const WHAT: &str = "Anchors config";
         let pool = index_field(config, "pool", WHAT)?;
         if pool == 0 {

@@ -279,7 +279,7 @@ impl ShardableExplainer for PermutationShapleyMethod {
         Json::obj(vec![("permutations", Json::Num(self.permutations as f64))])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         let permutations = index_field(config, "permutations", "permutation Shapley config")?;
         if permutations == 0 {
             return Err(wire_error("permutation Shapley config: permutations must be >= 1"));
@@ -498,7 +498,7 @@ impl ShardableExplainer for KernelShapMethod {
     }
 
     /// The seed is not part of the config — it always comes from the plan.
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         let max_coalitions = index_field(config, "max_coalitions", "Kernel SHAP config")?;
         if max_coalitions == 0 {
             return Err(wire_error("Kernel SHAP config: max_coalitions must be >= 1"));

@@ -225,7 +225,7 @@ impl ShardableExplainer for LimeMethod {
         ])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         Ok(Box::new(Self { config: lime_config_from_json(config)? }))
     }
 }
@@ -386,7 +386,7 @@ impl ShardableExplainer for SpLimeMethod {
         ])
     }
 
-    fn from_config_json(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
+    fn rebuild_from_config(&self, config: &Json) -> XaiResult<Box<dyn ShardableExplainer>> {
         const WHAT: &str = "SP-LIME config";
         let n_candidates = index_field(config, "n_candidates", WHAT)?;
         let picks = index_field(config, "picks", WHAT)?;

@@ -1,7 +1,7 @@
 //! Sharded explanation runs (DESIGN.md §11): one estimation job split
 //! into deterministic shards, executed three ways — unsharded, sharded
-//! in-process (`LocalBackend`), and sharded across OS processes
-//! (`ProcessPoolBackend`) — all producing the same bytes.
+//! in-process (`LocalBackend`), and sharded across local daemon
+//! processes (`ProcessPoolBackend`) — all producing the same bytes.
 //!
 //! The shard plan partitions the estimator's *random draws* (here the
 //! sampled coalitions of Kernel SHAP), so each shard replays exactly
@@ -53,8 +53,8 @@ fn main() {
         println!("in-process  n_shards = {n_shards}: bit-identical to the reference");
     }
 
-    // ── 4. Process-pool execution: descriptors on stdin, results on
-    //       stdout, merged back by the coordinator ───────────────────
+    // ── 4. Process-pool execution: descriptors framed over TCP to local
+    //       daemons the pool spawns, merged back by the coordinator ──
     let Some(worker) = sibling_worker_exe() else {
         println!("\nxai-shard-worker binary not found next to this example;");
         println!("run `cargo build` first to exercise the process-pool leg.");

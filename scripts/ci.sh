@@ -26,6 +26,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo bench -p xai-bench --no-run (compile only)"
 cargo bench -p xai-bench --no-run
 
+# The serving benchmark is its own crate over the facade (run_daemon,
+# serve_connection, execute_wire_text, ClusterRunner); compiling it here
+# makes a facade change that breaks its imports fail CI, not the
+# benchmark run.
+echo "==> cargo build --release --manifest-path servebench/Cargo.toml"
+CARGO_TARGET_DIR=target/servebench cargo build --release --manifest-path servebench/Cargo.toml
+
 # Advisory bench regression gate: reruns the Shapley bench suite and
 # diffs medians against the checked-in baselines (scripts/bench_gate.sh,
 # DESIGN.md §12). Shared CI hosts have noisy clocks, so a timing
@@ -47,7 +54,8 @@ echo "==> cargo run --release --example serve_demo"
 cargo run --release --example serve_demo >/dev/null
 
 # The shard demo proves the distribution story end to end: unsharded,
-# in-process sharded and OS-process-pool runs must emit identical bytes.
+# in-process sharded and process-pool runs (descriptors framed over TCP
+# to local daemons the pool spawns) must emit identical bytes.
 echo "==> cargo run --release --example shard_demo"
 cargo run --release --example shard_demo >/dev/null
 
@@ -58,9 +66,9 @@ echo "==> cargo run --release --example cluster_demo"
 cargo run --release --example cluster_demo >/dev/null
 
 # The backend demo proves the unified execution substrate end to end:
-# one ServeRequest on the local, process-pool and cluster backends, the
-# trait driven directly, and cache/session instrumentation — all
-# bit-identical bytes.
+# one ServeRequest on the local, process-pool (self-spawned local
+# daemons) and cluster (given daemons) backends, the trait driven
+# directly, and cache/session instrumentation — all bit-identical bytes.
 echo "==> cargo run --release --example backend_demo"
 cargo run --release --example backend_demo >/dev/null
 

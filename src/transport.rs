@@ -1,18 +1,19 @@
-//! The daemon side of the multi-node shard transport (DESIGN.md §13).
+//! The daemon side of the shard transport (DESIGN.md §13).
 //!
-//! [`xai_core::transport`] owns the wire protocol and the failure-first
-//! [`ClusterRunner`] (re-exported wholesale here); this module owns
-//! everything that needs the full method registry: [`run_daemon`] turns
-//! the `xai-shard-worker` binary into a TCP daemon (`--listen addr:port`)
-//! that serves a persistent session per connection — one
-//! [`ShardDescriptor`](crate::shard::ShardDescriptor) frame per request,
-//! looped until the client closes the stream — executing each through
-//! [`crate::shard::execute_wire_text`] (rebuilding model and method from
-//! their persisted forms; a panic is caught and typed, as in the stdin
-//! worker) and answering with a
-//! [`ShardResult`](crate::shard::ShardResult) frame or a typed shard
-//! error envelope. The coordinator side is
-//! [`xai_core::backend::ClusterBackend`] over a [`ClusterRunner`].
+//! [`xai_core::transport`] owns the wire protocol, the failure-first
+//! [`ClusterRunner`] and [`DaemonHandle`] (all re-exported wholesale
+//! here); this module owns everything that needs the full method
+//! registry: [`run_daemon`] turns the `xai-shard-worker` binary into a
+//! TCP daemon (`--listen addr:port`) that serves a persistent session per
+//! connection — one [`ShardDescriptor`](crate::shard::ShardDescriptor)
+//! frame per request, looped until the client closes the stream —
+//! executing each through [`crate::shard::execute_wire_text`] (rebuilding
+//! model and method from their persisted forms; a panic is caught and
+//! typed) and answering with a [`ShardResult`](crate::shard::ShardResult)
+//! frame or a typed shard error envelope. The daemon is the only remote
+//! worker: [`xai_core::backend::ClusterBackend`] drives daemons at given
+//! addresses, and [`xai_core::backend::ProcessPoolBackend`] spawns its own
+//! on this machine, both through a [`ClusterRunner`].
 //!
 //! For the supervision tests, `XAI_TRANSPORT_FAULT` injects daemon-side
 //! failure modes (`kill`, `hang`, `garbage`, `partial`, `panic`,
@@ -21,14 +22,10 @@
 //! port and tears it down on drop, so every test is offline and
 //! self-contained.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-use xai_core::{IoKind, XaiError, XaiResult};
 
 use crate::shard::execute_caught;
 
@@ -58,7 +55,7 @@ enum FaultMode {
     /// then close — a short read.
     Partial,
     /// Panic inside shard execution — caught and returned as a
-    /// `worker_panic` envelope, exactly like the stdin worker.
+    /// `worker_panic` envelope.
     Panic,
 }
 
@@ -197,75 +194,6 @@ pub fn run_daemon(addr: &str) -> i32 {
         });
     }
     0
-}
-
-// ---------------------------------------------------------------------------
-// Spawning daemons (tests, examples)
-// ---------------------------------------------------------------------------
-
-/// A spawned `xai-shard-worker --listen` daemon on an ephemeral loopback
-/// port. Killed and reaped on drop, so tests cannot leak processes.
-pub struct DaemonHandle {
-    child: Child,
-    addr: String,
-}
-
-impl DaemonHandle {
-    /// Spawns `exe --listen 127.0.0.1:0` with the given extra environment
-    /// variables (e.g. `XAI_TRANSPORT_FAULT`) and waits for the daemon to
-    /// report its bound address.
-    pub fn spawn(exe: impl AsRef<Path>, envs: &[(&str, &str)]) -> XaiResult<DaemonHandle> {
-        let exe = exe.as_ref();
-        let mut cmd = Command::new(exe);
-        cmd.args(["--listen", "127.0.0.1:0"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        for (key, value) in envs {
-            cmd.env(key, value);
-        }
-        let mut child = cmd.spawn().map_err(|e| {
-            XaiError::from_io(&e, format_args!("spawning shard daemon '{}'", exe.display()))
-        })?;
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let mut line = String::new();
-        let read = BufReader::new(stdout).read_line(&mut line);
-        match read {
-            Ok(n) if n > 0 => {}
-            _ => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(XaiError::io(
-                    IoKind::ShortRead,
-                    "shard daemon exited before reporting its address".to_string(),
-                ));
-            }
-        }
-        let addr = match line.trim().strip_prefix("listening on ") {
-            Some(addr) if !addr.is_empty() => addr.to_string(),
-            _ => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(xai_core::shard::wire_error(format!(
-                    "shard daemon announced '{}' instead of its address",
-                    line.trim()
-                )));
-            }
-        };
-        Ok(DaemonHandle { child, addr })
-    }
-
-    /// The daemon's bound `host:port`.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-}
-
-impl Drop for DaemonHandle {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
 }
 
 #[cfg(test)]

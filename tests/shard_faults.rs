@@ -1,11 +1,12 @@
-//! Fault injection for the shard process pool (DESIGN.md §11): worker
-//! panics, garbage output, abnormal exits and hangs must each surface
-//! as the matching typed `XaiError` — never as a hang or a crash of the
-//! coordinating process. Faults are injected through the worker's
-//! `XAI_SHARD_FAULT` environment hook, so the real binary and the real
-//! wire path are exercised end to end. The worker's own decode paths
-//! (method by card name, model by kind, fingerprint check) are driven
-//! directly through `execute_wire_text`.
+//! Fault injection for the shard process pool (DESIGN.md §11, §14):
+//! daemon panics, garbage output, abnormal exits and hangs must each
+//! surface as the matching typed `XaiError` — never as a hang or a crash
+//! of the coordinating process — and a failed pool must spawn fresh
+//! daemons for its next job. Faults are injected through the daemon's
+//! `XAI_TRANSPORT_FAULT` environment hook (set via `PoolConfig::env`), so
+//! the real binary and the real wire path are exercised end to end. The
+//! worker's own decode paths (method by card name, model by kind,
+//! fingerprint check) are driven directly through `execute_wire_text`.
 
 use std::time::{Duration, Instant};
 
@@ -21,24 +22,35 @@ fn fixture() -> (Dataset, LogisticRegression) {
 
 fn faulty_pool(mode: &str) -> PoolConfig {
     let mut pool = PoolConfig::new(env!("CARGO_BIN_EXE_xai-shard-worker"));
-    pool.env.push(("XAI_SHARD_FAULT".into(), mode.into()));
+    pool.env.push(("XAI_TRANSPORT_FAULT".into(), mode.into()));
     pool
 }
 
-fn run(pool: &PoolConfig) -> XaiResult<Explanation> {
+fn run_on(backend: &ProcessPoolBackend) -> XaiResult<Explanation> {
     let (data, model) = fixture();
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
     let job = BackendJob::new(&LooMethod, &model, &req, 3).with_model_json(model.save());
-    ProcessPoolBackend::new(pool.clone()).execute(&job).map(|outcome| outcome.explanation)
+    backend.execute(&job).map(|outcome| outcome.explanation)
+}
+
+fn run(pool: &PoolConfig) -> XaiResult<Explanation> {
+    run_on(&ProcessPoolBackend::new(pool.clone()))
+}
+
+fn reference() -> String {
+    let (data, model) = fixture();
+    let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
+    LooMethod.explain(&model, &req).unwrap().to_json_string()
 }
 
 #[test]
 fn a_panicking_worker_is_a_typed_worker_panic() {
     match run(&faulty_pool("panic")) {
         Err(XaiError::WorkerPanic { task, message }) => {
-            assert!(task < 3, "task should be the shard index, got {task}");
+            // Every shard panics; the lowest-indexed failure wins.
+            assert_eq!(task, 0, "task should be the shard index");
             assert!(
-                message.contains("injected shard worker fault"),
+                message.contains("injected transport fault"),
                 "panic payload should survive the wire: {message}"
             );
         }
@@ -51,17 +63,16 @@ fn garbage_worker_output_is_a_typed_parse_error() {
     match run(&faulty_pool("garbage")) {
         Err(XaiError::Parse { context }) => {
             assert!(
-                context.contains("unparseable"),
-                "context should say the output was unparseable: {context}"
+                context.contains("garbage frame"),
+                "context should say the output was not a frame: {context}"
             );
         }
         other => panic!("expected XaiError::Parse, got {other:?}"),
     }
 }
 
-#[test]
-fn an_abnormal_worker_exit_is_a_typed_model_fault() {
-    match run(&faulty_pool("exit")) {
+fn assert_exited_abnormally(outcome: XaiResult<Explanation>) {
+    match outcome {
         Err(XaiError::ModelFault { context }) => {
             assert!(
                 context.contains("exited abnormally"),
@@ -73,9 +84,23 @@ fn an_abnormal_worker_exit_is_a_typed_model_fault() {
 }
 
 #[test]
+fn an_abnormal_worker_exit_is_a_typed_model_fault() {
+    assert_exited_abnormally(run(&faulty_pool("kill")));
+}
+
+#[test]
+fn a_failed_pool_spawns_fresh_daemons_for_the_next_job() {
+    // Were the dead daemons kept, the second job would be refused at
+    // connect (`Io`) instead of killing a fresh daemon again.
+    let backend = ProcessPoolBackend::new(faulty_pool("kill"));
+    assert_exited_abnormally(run_on(&backend));
+    assert_exited_abnormally(run_on(&backend));
+}
+
+#[test]
 fn a_hung_worker_is_killed_at_the_deadline_not_awaited_forever() {
     let mut pool = faulty_pool("hang");
-    pool.deadline = Some(Duration::from_millis(300));
+    pool.deadline = Duration::from_millis(300);
     let started = Instant::now();
     match run(&pool) {
         Err(XaiError::BudgetExceeded { context, completed }) => {
@@ -85,7 +110,7 @@ fn a_hung_worker_is_killed_at_the_deadline_not_awaited_forever() {
         other => panic!("expected XaiError::BudgetExceeded, got {other:?}"),
     }
     // The coordinator must abort stragglers promptly rather than wait
-    // out the children; well under the test harness timeout.
+    // out the daemons; well under the test harness timeout.
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "deadline abort took {:?}",
@@ -102,12 +127,17 @@ fn a_missing_worker_binary_is_a_typed_io_error() {
 #[test]
 fn a_healthy_pool_still_matches_the_unsharded_run() {
     // Guard: the fault hook must be inert when the variable is unset.
-    let (data, model) = fixture();
-    let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
-    let reference = LooMethod.explain(&model, &req).unwrap().to_json_string();
     let pool = PoolConfig::new(env!("CARGO_BIN_EXE_xai-shard-worker"));
-    let pooled = run(&pool).unwrap().to_json_string();
-    assert_eq!(pooled, reference);
+    assert_eq!(run(&pool).unwrap().to_json_string(), reference());
+}
+
+#[test]
+fn one_pool_serves_repeated_jobs_on_its_daemons() {
+    let backend = ProcessPoolBackend::new(PoolConfig::new(env!("CARGO_BIN_EXE_xai-shard-worker")));
+    let reference = reference();
+    for round in 0..2 {
+        assert_eq!(run_on(&backend).unwrap().to_json_string(), reference, "round {round}");
+    }
 }
 
 /// A valid descriptor edited to each case the worker must refuse before
