@@ -314,10 +314,15 @@ pub trait ExecutionBackend: Send + Sync {
 /// range, so two keys collide only for byte-identical work (up to hash
 /// collisions, which only ever cost a false hit of an identical job).
 pub fn descriptor_cache_key(desc: &ShardDescriptor) -> (u64, u64) {
-    (
-        fingerprint_bytes(desc.fingerprint.as_bytes()),
-        fingerprint_bytes(desc.to_json_string().as_bytes()),
-    )
+    encode_descriptor(desc).0
+}
+
+/// Renders a descriptor once: its [`descriptor_cache_key`] and its wire
+/// payload, both from the same canonical bytes, so the cluster runner
+/// hashes exactly what it sends.
+pub(crate) fn encode_descriptor(desc: &ShardDescriptor) -> ((u64, u64), Arc<[u8]>) {
+    let payload: Arc<[u8]> = desc.to_json_string().into_bytes().into();
+    ((fingerprint_bytes(desc.fingerprint.as_bytes()), fingerprint_bytes(&payload)), payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -656,6 +661,31 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
+    }
+
+    #[test]
+    fn one_encode_yields_the_cache_key_and_the_payload() {
+        let desc = ShardDescriptor {
+            method: "test".into(),
+            config: Json::obj(vec![("k", Json::Num(3.0))]),
+            fingerprint: "0123".into(),
+            shard: 1,
+            n_shards: 2,
+            chunk_start: 4,
+            chunk_end: 8,
+            total_draws: 8,
+            chunk_size: 1,
+            model: Json::obj(vec![]),
+            dataset: Json::obj(vec![]),
+            instance: Some(vec![0.5, -1.0]),
+            feature: None,
+            plan: crate::explainer::RunConfig::seeded(9),
+        };
+        let text = desc.to_json_string();
+        let (key, payload) = encode_descriptor(&desc);
+        assert_eq!(&*payload, text.as_bytes());
+        assert_eq!(key, descriptor_cache_key(&desc));
+        assert_eq!(key, (fingerprint_bytes(b"0123"), fingerprint_bytes(text.as_bytes())));
     }
 
     #[test]

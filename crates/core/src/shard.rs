@@ -166,6 +166,37 @@ pub fn flatten_chunks<'a>(partials: &'a [Json], what: &str) -> XaiResult<Vec<&'a
     Ok(out)
 }
 
+/// The model outputs of a partial set whose chunks each carry only
+/// numbers — one per draw, the draws themselves being redrawn by the
+/// merge. Flattens the ordered partials, checks there is one chunk per
+/// grid chunk and that chunk `c` holds exactly `grid.chunk_range(c).len()`
+/// numbers, and returns them concatenated in chunk order. A wrong chunk
+/// count, a short or long chunk, or a non-number is a typed
+/// [`XaiError::Parse`] naming the chunk.
+pub fn chunk_values(partials: &[Json], grid: &DrawGrid, what: &str) -> XaiResult<Vec<f64>> {
+    let flat = flatten_chunks(partials, what)?;
+    if flat.len() != grid.n_chunks() {
+        return Err(wire_error(format!(
+            "{what}: got {} chunk partials for a {}-chunk grid",
+            flat.len(),
+            grid.n_chunks()
+        )));
+    }
+    let mut out = Vec::with_capacity(grid.total_draws);
+    for (c, chunk) in flat.into_iter().enumerate() {
+        let want = grid.chunk_range(c).len();
+        let items = chunk.as_arr().filter(|items| items.len() == want).ok_or_else(|| {
+            wire_error(format!("{what}: chunk {c} is not an array of {want} numbers"))
+        })?;
+        for (i, v) in items.iter().enumerate() {
+            out.push(v.as_num().ok_or_else(|| {
+                wire_error(format!("{what}: chunk {c} value {i} is not a number"))
+            })?);
+        }
+    }
+    Ok(out)
+}
+
 // ---------------------------------------------------------------------------
 // The draw grid and the partitioner
 // ---------------------------------------------------------------------------
@@ -227,7 +258,11 @@ pub trait ShardableExplainer: Explainer {
     /// Computes the serializable partial for global chunks
     /// `chunks.start..chunks.end`, as a `{"chunks": [...]}` payload in
     /// chunk order. Chunk `c` must draw from `child_seed(plan.seed, c)`,
-    /// whichever process runs it.
+    /// whichever process runs it. A partial carries only what the model
+    /// computed, never what the merge can redraw from the seed: Kernel
+    /// SHAP's chunk is the array of its coalition values and LIME's the
+    /// array of its probe targets, one number per draw (see
+    /// [`chunk_values`]).
     fn explain_chunks(
         &self,
         model: &dyn ModelOracle,
@@ -236,7 +271,13 @@ pub trait ShardableExplainer: Explainer {
     ) -> XaiResult<Json>;
 
     /// Runs the merge epilogue over the shard partials, ordered by shard
-    /// index, reproducing the unsharded explanation bit-for-bit.
+    /// index, reproducing the unsharded explanation bit-for-bit. Seeded
+    /// draws that a partial does not carry (Kernel SHAP's coalitions and
+    /// kernel weights, LIME's probe rows and locality weights) are redrawn
+    /// here from `child_seed(plan.seed, c)` with the shard's own draw code
+    /// and paired with the shipped numbers. A partial that does not fit
+    /// the grid is a typed [`XaiError::Parse`], so a tampered partial can
+    /// change the numbers but never the draws the solver sees.
     fn merge_chunks(
         &self,
         model: &dyn ModelOracle,

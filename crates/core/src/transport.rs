@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use xai_rand::{child_seed, SplitMix64};
 
-use crate::backend::descriptor_cache_key;
+use crate::backend::encode_descriptor;
 use crate::cache::Lru;
 use crate::error::{IoKind, XaiError, XaiResult};
 use crate::shard::{
@@ -657,7 +657,7 @@ pub struct ClusterRunner {
     health: HealthTracker,
     counters: Arc<Counters>,
     sessions: Vec<Arc<SessionPool>>,
-    /// Shard results by [`descriptor_cache_key`].
+    /// Shard results by [`crate::backend::descriptor_cache_key`].
     shard_cache: Lru<(u64, u64), ShardResult>,
 }
 
@@ -771,11 +771,11 @@ impl ClusterRunner {
     /// inserted so a later retry, hedge, or repeat of the same
     /// (fingerprint, descriptor) key is answered locally.
     fn run_shard(&self, desc: &ShardDescriptor) -> Result<ShardResult, ShardFailure> {
-        let key = descriptor_cache_key(desc);
+        let (key, payload) = encode_descriptor(desc);
         if let Some(result) = self.shard_cache.get(&key) {
             return Ok(result);
         }
-        let outcome = self.run_shard_transport(desc);
+        let outcome = self.run_shard_transport(desc.shard, &payload);
         if let Ok(result) = &outcome {
             self.shard_cache.insert(key, result.clone());
         }
@@ -784,9 +784,11 @@ impl ClusterRunner {
 
     /// Supervises one shard over the wire: retry with backoff across
     /// healthy endpoints, hedge stragglers, classify failures.
-    fn run_shard_transport(&self, desc: &ShardDescriptor) -> Result<ShardResult, ShardFailure> {
-        let payload: Arc<[u8]> = desc.to_json_string().into_bytes().into();
-        let shard = desc.shard;
+    fn run_shard_transport(
+        &self,
+        shard: usize,
+        payload: &Arc<[u8]>,
+    ) -> Result<ShardResult, ShardFailure> {
         // Upper bound on one round trip; recv waits are always bounded by
         // this, so a wedged socket can never wedge the supervisor.
         let trip_bound =
@@ -812,7 +814,7 @@ impl ClusterRunner {
                 continue;
             };
             let (tx, rx) = mpsc::channel();
-            self.launch(primary, &payload, shard, &tx);
+            self.launch(primary, payload, shard, &tx);
             let mut inflight = 1usize;
             let mut hedged = false;
             let started = Instant::now();
@@ -845,7 +847,7 @@ impl ClusterRunner {
                         if let Some(secondary) =
                             self.pick_endpoint(shard + attempt + 1, Some(primary))
                         {
-                            self.launch(secondary, &payload, shard, &tx);
+                            self.launch(secondary, payload, shard, &tx);
                             self.counters.hedges.fetch_add(1, Ordering::Relaxed);
                             inflight += 1;
                             hedged = true;

@@ -17,8 +17,8 @@
 //! ignoring the cap.
 
 use xai_core::shard::{
-    chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget, shard_nums,
-    wire_error, DrawGrid, ShardableExplainer,
+    chunk_values, chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget,
+    shard_nums, wire_error, DrawGrid, ShardableExplainer,
 };
 use xai_core::backend::dispatch_local;
 use xai_core::taxonomy::method_card;
@@ -336,33 +336,6 @@ impl Explainer for KernelShapMethod {
     }
 }
 
-impl KernelShapMethod {
-    /// Parses one serialized coalition triple `[[0/1...], weight, value]`.
-    fn parse_triple(t: &Json, i: usize) -> XaiResult<(Vec<bool>, f64, f64)> {
-        let parts = t
-            .as_arr()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| wire_error(format!("Kernel SHAP merge: triple {i} malformed")))?;
-        let mask = parts[0]
-            .as_arr()
-            .ok_or_else(|| wire_error(format!("Kernel SHAP merge: triple {i} mask malformed")))?
-            .iter()
-            .map(|b| match b.as_num() {
-                Some(v) if v == 0.0 => Ok(false),
-                Some(v) if v == 1.0 => Ok(true),
-                _ => Err(wire_error(format!("Kernel SHAP merge: triple {i} mask bit invalid"))),
-            })
-            .collect::<XaiResult<Vec<bool>>>()?;
-        let w = parts[1]
-            .as_num()
-            .ok_or_else(|| wire_error(format!("Kernel SHAP merge: triple {i} weight invalid")))?;
-        let v = parts[2]
-            .as_num()
-            .ok_or_else(|| wire_error(format!("Kernel SHAP merge: triple {i} value invalid")))?;
-        Ok((mask, w, v))
-    }
-}
-
 impl ShardableExplainer for KernelShapMethod {
     fn draw_grid(&self, req: &ExplainRequest<'_>) -> XaiResult<DrawGrid> {
         let instance = req.need_instance("Kernel SHAP")?;
@@ -410,26 +383,12 @@ impl ShardableExplainer for KernelShapMethod {
         validate::background("kernel SHAP", instance, background)?;
         let grid = self.draw_grid(req)?;
         let config = KernelShapConfig { seed: req.plan.seed, ..self.config };
+        let n = instance.len();
         with_game(model, instance, background, req, |game| {
             let mut out = Vec::with_capacity(chunks.len());
             for c in chunks {
-                let triples = kernel::chunk_triples(game, config, c, grid.chunk_range(c));
-                let mut chunk = Vec::with_capacity(triples.len());
-                for (mask, w, v) in triples {
-                    if !v.is_finite() {
-                        return Err(XaiError::ModelFault {
-                            context: format!("coalition evaluation returned {v}"),
-                        });
-                    }
-                    chunk.push(Json::Arr(vec![
-                        Json::Arr(
-                            mask.iter().map(|&b| Json::Num(if b { 1.0 } else { 0.0 })).collect(),
-                        ),
-                        Json::Num(w),
-                        Json::Num(v),
-                    ]));
-                }
-                out.push(Json::Arr(chunk));
+                let (masks, _) = kernel::chunk_draws(n, config, c, grid.chunk_range(c));
+                out.push(shard_nums("Kernel SHAP coalition values", &game.values(&masks))?);
             }
             Ok(chunks_json(out))
         })
@@ -453,26 +412,18 @@ impl ShardableExplainer for KernelShapMethod {
             s
         } else {
             let grid = self.draw_grid(req)?;
-            let flat = flatten_chunks(&partials, WHAT)?;
-            if flat.len() != grid.n_chunks() {
-                return Err(wire_error(format!(
-                    "{WHAT}: got {} chunk partials for a {}-chunk grid",
-                    flat.len(),
-                    grid.n_chunks()
-                )));
-            }
-            let mut triples = Vec::with_capacity(grid.total_draws);
-            for chunk in flat {
-                let items = chunk
-                    .as_arr()
-                    .ok_or_else(|| wire_error(format!("{WHAT}: chunk partial is not an array")))?;
-                for (i, t) in items.iter().enumerate() {
-                    triples.push(Self::parse_triple(t, i)?);
-                }
+            let values = chunk_values(&partials, &grid, WHAT)?;
+            // Redraw the coalitions and weights the shards evaluated.
+            let config = KernelShapConfig { seed: req.plan.seed, ..self.config };
+            let (mut masks, mut weights) = (Vec::new(), Vec::new());
+            for c in 0..grid.n_chunks() {
+                let (m, w) = kernel::chunk_draws(n, config, c, grid.chunk_range(c));
+                masks.extend(m);
+                weights.extend(w);
             }
             let exact = kernel::exact_mode(n, self.config.max_coalitions)
                 && req.plan.budget.max_evals.is_none();
-            kernel::solve_chunks(n, &ends, vec![triples], self.config.ridge, exact)?
+            kernel::solve_chunks(n, &ends, &masks, &weights, &values, self.config.ridge, exact)?
         };
         if ks.degraded && req.plan.degradation == DegradationPolicy::Strict {
             return Err(XaiError::SingularSystem {

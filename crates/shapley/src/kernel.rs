@@ -321,22 +321,20 @@ pub fn try_kernel_shap_budgeted(
 /// sequential layout.
 pub(crate) const COALITIONS_PER_CHUNK: usize = 64;
 
-/// One `(coalition, kernel weight, value)` regression row.
-pub(crate) type Triple = (Vec<bool>, f64, f64);
-
-/// The chunk layout: chunk `c` covers the global draw indices `range`.
-/// In exact mode it enumerates those proper coalitions; in sampling mode
-/// it draws `range.len()` coalitions from the `child_seed(config.seed, c)`
-/// stream. Either way the chunk is evaluated in one
-/// [`BatchGame::values`] call.
-pub(crate) fn chunk_triples(
-    game: &dyn BatchGame,
+/// The chunk layout's draws: chunk `c` covers the global draw indices
+/// `range`. In exact mode it enumerates those proper coalitions; in
+/// sampling mode it draws `range.len()` coalitions from the
+/// `child_seed(config.seed, c)` stream. Returns the coalitions and their
+/// kernel weights. Draws are a pure function of `(config, c, range)`, so
+/// a shard evaluates them and the merge redraws them: only the values
+/// cross the wire.
+pub(crate) fn chunk_draws(
+    n: usize,
     config: KernelShapConfig,
     c: usize,
     range: std::ops::Range<usize>,
-) -> Vec<Triple> {
-    let n = game.n_players();
-    let (masks, weights): (Vec<Vec<bool>>, Vec<f64>) = if exact_mode(n, config.max_coalitions) {
+) -> (Vec<Vec<bool>>, Vec<f64>) {
+    if exact_mode(n, config.max_coalitions) {
         range
             .map(|i| {
                 let mask = i + 1; // skip the empty coalition
@@ -347,30 +345,23 @@ pub(crate) fn chunk_triples(
         let size_weights = size_distribution(n);
         let mut rng = StdRng::seed_from_u64(child_seed(config.seed, c as u64));
         range.map(|_| (draw_coalition(&mut rng, n, &size_weights), 1.0)).unzip()
-    };
-    let values = game.values(&masks);
-    masks.into_iter().zip(weights).zip(values).map(|((m, w), v)| (m, w, v)).collect()
+    }
 }
 
-/// The chunk-layout merge: concatenates chunk triples in chunk order and
-/// solves. Any partition of the chunk grid that concatenates to the same
-/// triple sequence reproduces the result bit for bit.
+/// The chunk-layout merge: solves over the coalitions, weights and values
+/// of every chunk, concatenated in chunk order. Any partition of the
+/// chunk grid that concatenates to the same sequence reproduces the
+/// result bit for bit.
 pub(crate) fn solve_chunks(
     n: usize,
     ends: &Endpoints,
-    chunks: Vec<Vec<Triple>>,
+    masks: &[Vec<bool>],
+    weights: &[f64],
+    values: &[f64],
     ridge: f64,
     exact: bool,
 ) -> XaiResult<KernelShap> {
-    let mut masks = Vec::new();
-    let mut weights = Vec::new();
-    let mut values = Vec::new();
-    for (coalition, w, v) in chunks.into_iter().flatten() {
-        masks.push(coalition);
-        weights.push(w);
-        values.push(v);
-    }
-    let (phi, degraded) = solve_kernel_regression(n, ends, &masks, &weights, &values, ridge)?;
+    let (phi, degraded) = solve_kernel_regression(n, ends, masks, weights, values, ridge)?;
     Ok(KernelShap { phi, base_value: ends.v0, coalitions_used: masks.len(), exact, degraded })
 }
 
@@ -408,13 +399,16 @@ mod tests {
         }
         let exact = exact_mode(n, config.max_coalitions);
         let total = if exact { (1usize << n) - 2 } else { config.max_coalitions };
-        let chunks = (0..total.div_ceil(COALITIONS_PER_CHUNK))
-            .map(|c| {
-                let start = c * COALITIONS_PER_CHUNK;
-                chunk_triples(game, config, c, start..(start + COALITIONS_PER_CHUNK).min(total))
-            })
-            .collect();
-        solve_chunks(n, &ends, chunks, config.ridge, exact).unwrap()
+        let (mut masks, mut weights, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        for c in 0..total.div_ceil(COALITIONS_PER_CHUNK) {
+            let start = c * COALITIONS_PER_CHUNK;
+            let range = start..(start + COALITIONS_PER_CHUNK).min(total);
+            let (m, w) = chunk_draws(n, config, c, range);
+            values.extend(game.values(&m));
+            masks.extend(m);
+            weights.extend(w);
+        }
+        solve_chunks(n, &ends, &masks, &weights, &values, config.ridge, exact).unwrap()
     }
 
     #[test]

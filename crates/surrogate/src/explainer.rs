@@ -19,7 +19,7 @@
 
 use xai_core::backend::dispatch_local;
 use xai_core::shard::{
-    arr_field, chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget,
+    chunk_values, chunks_json, flatten_chunks, index_field, num_field, nums_field, reject_budget,
     shard_nums, wire_error, DrawGrid, ShardableExplainer,
 };
 use xai_core::taxonomy::method_card;
@@ -33,7 +33,7 @@ use xai_rand::child_seed;
 use xai_rand::rngs::StdRng;
 use xai_rand::SeedableRng;
 
-use crate::lime::{self, LimeConfig, LimeExplainer, LimeProbe};
+use crate::lime::{self, LimeConfig, LimeExplainer};
 use crate::pdp::{self, feature_grid};
 use crate::saliency::{integrated_gradients, Differentiable};
 use crate::sp_lime::{self, sp_lime};
@@ -146,17 +146,10 @@ impl ShardableExplainer for LimeMethod {
         let mut out = Vec::with_capacity(chunks.len());
         for c in chunks {
             let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
-            let probes =
-                explainer.probe_chunk(&f, instance, width, grid.chunk_range(c).len(), &mut rng)?;
-            let rows = probes
-                .into_iter()
-                .map(|(mut row, weight, target)| {
-                    row.push(weight);
-                    row.push(target);
-                    shard_nums("LIME probe row", &row)
-                })
-                .collect::<XaiResult<Vec<Json>>>()?;
-            out.push(Json::obj(vec![("rows", Json::Arr(rows))]));
+            let (raws, _) =
+                explainer.draw_chunk(instance, width, grid.chunk_range(c).len(), &mut rng);
+            let targets = lime::probe_targets(&f, &raws)?;
+            out.push(shard_nums("LIME probe targets", &targets)?);
         }
         Ok(chunks_json(out))
     }
@@ -171,42 +164,19 @@ impl ShardableExplainer for LimeMethod {
         let instance = req.need_instance("LIME")?;
         validate::finite_slice("LIME instance", instance)?;
         let grid = self.draw_grid(req)?;
-        let flat = flatten_chunks(&partials, WHAT)?;
-        if flat.len() != grid.n_chunks() {
-            return Err(wire_error(format!(
-                "{WHAT}: got {} chunk partials for a {}-chunk grid",
-                flat.len(),
-                grid.n_chunks()
-            )));
-        }
+        let targets = chunk_values(&partials, &grid, WHAT)?;
+        // Refit on the request's data and redraw the probes the shards
+        // evaluated.
         let explainer = LimeExplainer::fit(req.data);
-        let d = explainer.n_features();
-        let mut probes: Vec<LimeProbe> = Vec::with_capacity(grid.total_draws);
-        for chunk in flat {
-            for (i, row) in arr_field(chunk, "rows", WHAT)?.iter().enumerate() {
-                let vals = row
-                    .as_arr()
-                    .ok_or_else(|| wire_error(format!("{WHAT}: probe row {i} is not an array")))?
-                    .iter()
-                    .map(|v| {
-                        v.as_num().ok_or_else(|| {
-                            wire_error(format!("{WHAT}: probe row {i} has a non-numeric entry"))
-                        })
-                    })
-                    .collect::<XaiResult<Vec<f64>>>()?;
-                if vals.len() != d + 2 {
-                    return Err(wire_error(format!(
-                        "{WHAT}: probe row {i} has {} entries, want {}",
-                        vals.len(),
-                        d + 2
-                    )));
-                }
-                probes.push((vals[..d].to_vec(), vals[d], vals[d + 1]));
-            }
+        let width = lime::width_for(self.config, instance.len());
+        let mut drawn = Vec::with_capacity(targets.len());
+        for c in 0..grid.n_chunks() {
+            let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
+            let count = grid.chunk_range(c).len();
+            drawn.extend(explainer.draw_chunk(instance, width, count, &mut rng).1);
         }
         let prediction = catch_model("LIME instance prediction", || model.predict(instance))?;
-        let width = lime::width_for(self.config, instance.len());
-        let exp = explainer.fit_probes(probes, width, prediction, self.config)?;
+        let exp = explainer.fit_probes(drawn, targets, width, prediction, self.config)?;
         Ok(Explanation::Attribution(lime_strict(exp, &req.plan)?))
     }
 

@@ -57,10 +57,6 @@ pub(crate) fn check_samples(n_samples: usize) -> XaiResult<()> {
     Ok(())
 }
 
-/// One drawn-and-evaluated neighbourhood probe: interpretable
-/// representation, locality weight, model output.
-pub(crate) type LimeProbe = (Vec<f64>, f64, f64);
-
 /// The kernel width a config resolves to at dimensionality `d` — shared
 /// by the sequential neighbourhood and the chunked probe stream (it must
 /// not depend on the sample count, or budgeted prefixes would diverge).
@@ -200,22 +196,22 @@ impl LimeExplainer {
         (raws, design, weights, width)
     }
 
-    /// The chunk layout: draws one chunk of neighbourhood probes from
-    /// `rng`'s stream and evaluates them in one batch model call. Chunk
-    /// `c` of the grid runs this body with an RNG seeded
+    /// The chunk layout's draws: one chunk of `count` neighbourhood probes
+    /// from `rng`'s stream, as the raw probe rows (one matrix, ready for a
+    /// single batched model call) and each probe's interpretable row and
+    /// locality weight. Chunk `c` of the grid draws with an RNG seeded
     /// `child_seed(seed, c)`, so in-process `workers > 1` runs and
-    /// cross-process shards reproduce each other bit for bit.
-    pub(crate) fn probe_chunk(
+    /// cross-process shards see the same probes, and the merge redraws
+    /// what a shard evaluated instead of receiving it.
+    pub(crate) fn draw_chunk(
         &self,
-        model: &dyn Fn(&Matrix) -> Vec<f64>,
         instance: &[f64],
         width: f64,
         count: usize,
         rng: &mut StdRng,
-    ) -> XaiResult<Vec<LimeProbe>> {
-        let d = instance.len();
+    ) -> (Matrix, Vec<(Vec<f64>, f64)>) {
         let origin = self.instance_interp(instance);
-        let mut raws = Matrix::zeros(count, d);
+        let mut raws = Matrix::zeros(count, instance.len());
         let mut drawn = Vec::with_capacity(count);
         for i in 0..count {
             let (raw, interp) = self.perturb(instance, rng);
@@ -224,37 +220,29 @@ impl LimeExplainer {
             raws.row_mut(i).copy_from_slice(&raw);
             drawn.push((interp, (-dist2 / (width * width)).exp()));
         }
-        let targets = catch_model("LIME neighbourhood evaluation", || model(&raws))?;
-        check_arity(targets.len(), count)?;
-        Ok(drawn
-            .into_iter()
-            .zip(targets)
-            .map(|((interp, weight), target)| (interp, weight, target))
-            .collect())
+        (raws, drawn)
     }
 
     /// The merge epilogue of the chunk layout: assembles the design
-    /// matrix / weights / targets from concatenated probes (in chunk
-    /// order) and runs the same surrogate fit as the sequential path,
-    /// sized to the probes that actually arrived.
+    /// matrix and weights from the redrawn probes (in chunk order), pairs
+    /// them with the shards' targets and runs the same surrogate fit as
+    /// the sequential path, sized to the probe count.
     pub(crate) fn fit_probes(
         &self,
-        probes: Vec<LimeProbe>,
+        drawn: Vec<(Vec<f64>, f64)>,
+        targets: Vec<f64>,
         width: f64,
         prediction: f64,
         config: LimeConfig,
     ) -> XaiResult<LimeExplanation> {
-        let n = probes.len();
-        let d = self.n_features();
-        let mut design = Matrix::zeros(n, d + 1);
+        let n = drawn.len();
+        let mut design = Matrix::zeros(n, self.n_features() + 1);
         let mut weights = Vec::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        for (i, (interp, weight, target)) in probes.into_iter().enumerate() {
+        for (i, (interp, weight)) in drawn.into_iter().enumerate() {
             let row = design.row_mut(i);
             row[0] = 1.0;
             row[1..].copy_from_slice(&interp);
             weights.push(weight);
-            targets.push(target);
         }
         check_targets(&targets, prediction)?;
         // `try_fit_surrogate` sizes its loops from `n_samples`; feed it
@@ -450,9 +438,16 @@ impl LimeExplainer {
     }
 }
 
-/// Rejects non-finite model outputs on the neighbourhood — the model (not
-/// the caller's data) produced them, so they map to
-/// [`XaiError::ModelFault`].
+/// Evaluates one chunk's raw probe rows in one batch model call.
+pub(crate) fn probe_targets(
+    model: &dyn Fn(&Matrix) -> Vec<f64>,
+    raws: &Matrix,
+) -> XaiResult<Vec<f64>> {
+    let targets = catch_model("LIME neighbourhood evaluation", || model(raws))?;
+    check_arity(targets.len(), raws.rows())?;
+    Ok(targets)
+}
+
 /// Rejects a batch model call that returned the wrong number of outputs;
 /// shared by both draw layouts.
 fn check_arity(outputs: usize, probes: usize) -> XaiResult<()> {
@@ -464,6 +459,9 @@ fn check_arity(outputs: usize, probes: usize) -> XaiResult<()> {
     Ok(())
 }
 
+/// Rejects non-finite model outputs on the neighbourhood — the model (not
+/// the caller's data) produced them, so they map to
+/// [`XaiError::ModelFault`].
 pub(crate) fn check_targets(targets: &[f64], prediction: f64) -> XaiResult<()> {
     if let Some(i) = targets.iter().position(|t| !t.is_finite()) {
         return Err(XaiError::ModelFault {

@@ -72,6 +72,18 @@ cargo run --release --example cluster_demo >/dev/null
 echo "==> cargo run --release --example backend_demo"
 cargo run --release --example backend_demo >/dev/null
 
+# Every shard daemon the tests and demos start must be gone by now: the
+# process pool and the cluster demos kill and reap theirs on drop, and a
+# leaked `xai-shard-worker` would keep running after CI. Match on the
+# command line, because the kernel truncates the process name itself to
+# 15 characters (`pgrep -x xai-shard-worker` never matches).
+echo "==> no xai-shard-worker daemon left running"
+if pgrep -u "$(id -u)" -f '/xai-shard-worker( |$)' >/dev/null; then
+    echo "ci.sh: leaked xai-shard-worker processes:" >&2
+    pgrep -a -u "$(id -u)" -f '/xai-shard-worker( |$)' >&2
+    exit 1
+fi
+
 # Advisory unwrap/expect audit over the library crates' non-test code.
 # Warnings only, never a gate: the panicking convenience APIs are
 # intentional `.expect` wrappers over their `try_*` twins (DESIGN.md §8),
